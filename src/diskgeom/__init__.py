@@ -30,6 +30,8 @@ from .minkowski import (
     invert4,
     invert_matrix,
     lift,
+    minkowski_metric,
+    minkowski_metric_inv,
     normalize,
     project,
     verify_generalized,
@@ -44,14 +46,13 @@ from .descartes import (
     vieta_reflect,
 )
 from .gasket import (
-    DEDUP_QUANTUM,
+    SPECTRUM_QUANTUM,
     Gasket,
     GasketDisk,
     GenerationLimits,
     RenderStyle,
     canonical_quadruple,
     curvature_spectrum,
-    dedup_key,
     generate,
     render_svg,
 )
@@ -62,8 +63,6 @@ from .nsphere import (
     gramian_n,
     inner_sphere,
     lift_sphere,
-    minkowski_metric,
-    minkowski_metric_inv,
     soddy_gosset_residual,
     verify_generalized_n,
 )

@@ -39,24 +39,17 @@ from .gasket import (
     render_svg,
 )
 from .minkowski import (
-    MINKOWSKI_METRIC_INV,
     Circle,
     CircleVector,
     Disk,
     Halfplane,
-    gramian,
+    configuration_identity,
+    halfplane_geometry,
     inner,
-    invert4,
-    invert_matrix,
     lift,
     project,
 )
-from .nsphere import (
-    NSphere,
-    gramian_n,
-    lift_sphere,
-    minkowski_metric_inv,
-)
+from .nsphere import NSphere, lift_sphere
 
 SCHEMA_VERSION = 1
 
@@ -189,23 +182,15 @@ def _emit_json(obj: dict) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     kind, payload = load_document(args.input)
     if kind == "planar":
-        disks = payload
-        if len(disks) != 4:
-            raise DocumentError(f"expected 4 disks, got {len(disks)}")
-        d = np.column_stack([lift(x).as_array() for x in disks])
-        f = gramian([lift(x) for x in disks])
-        finv = invert4(f)
-        target = MINKOWSKI_METRIC_INV
+        if len(payload) != 4:
+            raise DocumentError(f"expected 4 disks, got {len(payload)}")
+        vectors = [lift(x) for x in payload]
     else:
         dim, spheres = payload
         if len(spheres) != dim + 2:
             raise DocumentError(f"expected n+2 = {dim + 2} spheres for dim {dim}, got {len(spheres)}")
         vectors = [lift_sphere(s) for s in spheres]
-        d = np.column_stack([v.as_array() for v in vectors])
-        f = gramian_n(vectors)
-        finv = invert_matrix(f)
-        target = minkowski_metric_inv(dim)
-    residual = float(np.max(np.abs(d @ finv @ d.T - target)))
+    f, finv, residual = configuration_identity(vectors)
     passed = residual <= args.tol
     if args.json:
         _emit_json(
@@ -276,9 +261,7 @@ def _write_gasket_csv(path: str, disks) -> None:
                 x, y = v.xdot / v.beta + 0.0, v.ydot / v.beta + 0.0
             else:
                 # boundary anchor point of the halfplane
-                norm = math.hypot(v.xdot, v.ydot)
-                nx, ny = -v.xdot / norm, -v.ydot / norm
-                offset = -0.5 * v.gamma / norm
+                nx, ny, offset = halfplane_geometry(v)
                 x, y = nx * offset, ny * offset
             writer.writerow([disk.depth, repr(v.beta), repr(x), repr(y)])
 

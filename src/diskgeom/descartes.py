@@ -139,10 +139,6 @@ def _solution_line(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nd
     return back(True, 0.0), back(False, 1.0)
 
 
-def _metric_product(u: np.ndarray, v: np.ndarray) -> float:
-    return float(-u[0] * v[0] - u[1] * v[1] + 0.5 * (u[2] * v[3] + u[3] * v[2]))
-
-
 def _root_order(v: CircleVector) -> tuple[float, float, float, float]:
     # larger curvature first; remaining components break exact ties
     return (-v.beta, -v.xdot, -v.ydot, -v.gamma)
@@ -150,11 +146,12 @@ def _root_order(v: CircleVector) -> tuple[float, float, float, float]:
 
 def _roots_on_line(point: np.ndarray, direction: np.ndarray) -> tuple[CircleVector, CircleVector]:
     """Intersect the affine line point + t*direction with <X,X> = -1."""
-    alpha = _metric_product(direction, direction)
+    p, d = CircleVector(*point.tolist()), CircleVector(*direction.tolist())
+    alpha = inner(d, d)
     if alpha == 0.0:
         raise DegenerateTriple("solution line is light-like")
-    b = _metric_product(point, direction)
-    c0 = _metric_product(point, point) + 1.0
+    b = inner(p, d)
+    c0 = inner(p, p) + 1.0
     disc = b * b - alpha * c0
     gate = 1e-12 * max(1.0, b * b, abs(alpha * c0))
     if disc < -gate:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import colorsys
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,20 +15,9 @@ from .descartes import (
     vieta_reflect,
 )
 from .errors import ComplexRoots, DiskGeomError, EmptyGasket, InvalidSeed
-from .minkowski import Circle, CircleVector, Halfplane, lift
+from .minkowski import Circle, CircleVector, Halfplane, halfplane_geometry, lift
 
-DEDUP_QUANTUM = 1e-7
-
-
-def dedup_key(v: CircleVector) -> tuple[int, int, int, int]:
-    """Quantized identity key; resolution scales with curvature magnitude."""
-    step = DEDUP_QUANTUM * max(1.0, abs(v.beta))
-    return (
-        round(v.xdot / step),
-        round(v.ydot / step),
-        round(v.beta / step),
-        round(v.gamma / step),
-    )
+SPECTRUM_QUANTUM = 1e-7
 
 
 @dataclass(frozen=True)
@@ -75,15 +63,14 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
     Each frontier quadruple reflects at every slot except the one that
     created it (the reflection is an involution, so that slot would only
     regenerate the parent).  Children are visited in slot order, which makes
-    the stored disk sequence deterministic.  New disks are deduplicated by
-    quantized key; a disk above max_curvature prunes its whole quadruple.
+    the stored disk sequence deterministic.  A disk above max_curvature
+    prunes its whole quadruple.
     """
     try:
         seed.validate()
     except DiskGeomError as exc:
         raise InvalidSeed(str(exc)) from exc
     disks = [GasketDisk(v, 0, 0) for v in seed.vectors]
-    seen = {dedup_key(v) for v in seed.vectors}
     quads = [seed]
     qdepths = [0]
     queue: deque[tuple[int, int, int]] = deque([(0, -1, 0)])
@@ -100,13 +87,10 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
             new = child.vectors[slot]
             if limits.max_curvature is not None and new.beta > limits.max_curvature:
                 continue
-            key = dedup_key(new)
-            if key not in seen:
-                if limits.max_count is not None and len(disks) >= limits.max_count:
-                    full = True
-                    break
-                seen.add(key)
-                disks.append(GasketDisk(new, depth + 1, qid))
+            if limits.max_count is not None and len(disks) >= limits.max_count:
+                full = True
+                break
+            disks.append(GasketDisk(new, depth + 1, qid))
             quads.append(child)
             qdepths.append(depth + 1)
             queue.append((len(quads) - 1, slot, depth + 1))
@@ -114,11 +98,11 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
 
 
 def curvature_spectrum(g: Gasket) -> list[tuple[float, int]]:
-    """Curvature histogram quantized at the dedup resolution, ascending."""
+    """Curvature histogram in bins of relative width SPECTRUM_QUANTUM, ascending."""
     counts: dict[float, tuple[float, int]] = {}
     for disk in g.disks:
         b = disk.vector.beta
-        step = DEDUP_QUANTUM * max(1.0, abs(b))
+        step = SPECTRUM_QUANTUM * max(1.0, abs(b))
         q = round(b / step) * step
         if q in counts:
             val, n = counts[q]
@@ -194,11 +178,6 @@ def _center_radius(v: CircleVector) -> tuple[float, float, float]:
     return v.xdot * r + 0.0, v.ydot * r + 0.0, r
 
 
-def _halfplane_geometry(v: CircleVector) -> tuple[float, float, float]:
-    norm = math.hypot(v.xdot, v.ydot)
-    return -v.xdot / norm, -v.ydot / norm, -0.5 * v.gamma / norm
-
-
 def render_svg(g: Gasket, style: RenderStyle | None = None) -> str:
     """SVG 1.1 document: one circle element per disk, lines for halfplanes.
 
@@ -214,7 +193,7 @@ def render_svg(g: Gasket, style: RenderStyle | None = None) -> str:
     for disk in g.disks:
         v = disk.vector
         if v.beta == 0.0:
-            lines.append(_halfplane_geometry(v))
+            lines.append(halfplane_geometry(v))
         else:
             cx, cy, r = _center_radius(v)
             circles.append((cx, cy, abs(r), disk.depth, r < 0.0))

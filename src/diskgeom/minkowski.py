@@ -1,4 +1,4 @@
-"""Minkowski-space model of planar disks.
+"""Minkowski-space model of planar disks and of spheres in any dimension.
 
 A disk with center (x, y) and signed radius r lifts to the space-like
 4-vector (x/r, y/r, 1/r, (x^2 + y^2 - r^2)/r); halfplanes are the
@@ -6,7 +6,9 @@ curvature-0 limit of that map.  Under the metric g (negative unit block on
 the reduced coordinates, half-swap block on curvature/co-curvature) the
 product of two lifted vectors equals the inversive product
 (d^2 - r1^2 - r2^2) / (2 r1 r2), so tangency, intersection angles and the
-whole configuration calculus become linear algebra on 4-vectors.
+whole configuration calculus become linear algebra on 4-vectors.  Spheres
+in n-space lift the same way to (n+2)-vectors, so the product, Gramian and
+configuration identity here serve every n; disks are the case n = 2.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BadDimension,
     DegenerateConfiguration,
     NonUnitNormal,
     NotNormalized,
@@ -26,22 +29,27 @@ from .errors import (
     ZeroRadius,
 )
 
-MINKOWSKI_METRIC = np.array(
-    [
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.5],
-        [0.0, 0.0, 0.5, 0.0],
-    ]
-)
-MINKOWSKI_METRIC_INV = np.array(
-    [
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 2.0],
-        [0.0, 0.0, 2.0, 0.0],
-    ]
-)
+
+def _block_metric(n: int, swap: float) -> np.ndarray:
+    if n < 2:
+        raise BadDimension(f"dimension must be >= 2, got {n!r}")
+    g = np.diag([-1.0] * n + [0.0, 0.0])
+    g[n, n + 1] = g[n + 1, n] = swap
+    return g
+
+
+def minkowski_metric(n: int) -> np.ndarray:
+    """(n+2)x(n+2) metric: -identity block plus the half-swap curvature block."""
+    return _block_metric(n, 0.5)
+
+
+def minkowski_metric_inv(n: int) -> np.ndarray:
+    """Exact inverse of minkowski_metric(n)."""
+    return _block_metric(n, 2.0)
+
+
+MINKOWSKI_METRIC = minkowski_metric(2)
+MINKOWSKI_METRIC_INV = minkowski_metric_inv(2)
 MINKOWSKI_METRIC.setflags(write=False)
 MINKOWSKI_METRIC_INV.setflags(write=False)
 
@@ -79,6 +87,10 @@ class CircleVector:
     beta: float
     gamma: float
 
+    @property
+    def coords(self) -> tuple[float, float]:
+        return (self.xdot, self.ydot)
+
     def as_array(self) -> np.ndarray:
         return np.array([self.xdot, self.ydot, self.beta, self.gamma])
 
@@ -110,8 +122,14 @@ def project(v: CircleVector) -> Disk:
     if v.beta != 0.0:
         r = 1.0 / v.beta
         return Circle((v.xdot * r, v.ydot * r), r)
+    nx, ny, offset = halfplane_geometry(v)
+    return Halfplane((nx, ny), offset)
+
+
+def halfplane_geometry(v: CircleVector) -> tuple[float, float, float]:
+    """Unit normal (nx, ny) and offset of a curvature-0 vector."""
     norm = math.hypot(v.xdot, v.ydot)
-    return Halfplane((-v.xdot / norm, -v.ydot / norm), -0.5 * v.gamma / norm)
+    return -v.xdot / norm, -v.ydot / norm, -0.5 * v.gamma / norm
 
 
 def normalize(components: Iterable[float]) -> CircleVector:
@@ -124,13 +142,16 @@ def normalize(components: Iterable[float]) -> CircleVector:
     return CircleVector(x * scale, y * scale, b * scale, g * scale)
 
 
-def inner(u: CircleVector, v: CircleVector) -> float:
-    """Minkowski product of two circle vectors."""
-    return (
-        -u.xdot * v.xdot
-        - u.ydot * v.ydot
-        + 0.5 * (u.beta * v.gamma + v.beta * u.gamma)
-    )
+def inner(u, v) -> float:
+    """Minkowski product of two lifted vectors (coords, beta, gamma).
+
+    Planar circle vectors and lifted n-spheres both qualify; vectors of
+    different dimensions raise ValueError.
+    """
+    s = -0.0  # -0.0 - a*b is exactly -(a*b), signed zeros included
+    for a, b in zip(u.coords, v.coords, strict=True):
+        s -= a * b
+    return s + 0.5 * (u.beta * v.gamma + v.beta * u.gamma)
 
 
 def inner_geometric(d1: Disk, d2: Disk) -> float:
@@ -158,13 +179,17 @@ def intersection_angle(d1: Disk, d2: Disk) -> float | None:
     return math.acos(p)
 
 
-def gramian(vectors: Sequence[CircleVector]) -> np.ndarray:
-    """Symmetric 4x4 matrix of pairwise products of four circle vectors."""
-    if len(vectors) != 4:
-        raise ValueError(f"expected 4 vectors, got {len(vectors)}")
-    f = np.empty((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
+def gramian(vectors: Sequence) -> np.ndarray:
+    """Symmetric matrix of pairwise products of n+2 lifted vectors in n-space."""
+    if not vectors:
+        raise ValueError("no vectors given")
+    # inner() raises ValueError on vectors of different dimensions
+    n, m = len(vectors[0].coords), len(vectors)
+    if m != n + 2:
+        raise ValueError(f"need n+2 = {n + 2} vectors for n = {n}, got {m}")
+    f = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
             f[i, j] = f[j, i] = inner(vectors[i], vectors[j])
     return f
 
@@ -191,21 +216,24 @@ def invert4(m: np.ndarray) -> np.ndarray:
     return invert_matrix(m)
 
 
-def verify_generalized(vectors: Sequence[CircleVector]) -> float:
-    """Max-abs residual of the configuration identity D f^-1 D^T = G.
+def configuration_identity(vectors: Sequence) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gramian f, its inverse and the max-abs residual of D f^-1 D^T = G.
 
-    D holds the four circle vectors as columns and f is their Gramian; for
-    any quadruple with invertible Gramian the product reconstructs the
-    inverse metric exactly, so the residual measures only numerical noise
-    and input inconsistency.
+    D holds the n+2 lifted vectors as columns.  For any configuration with
+    invertible Gramian the product reconstructs the inverse metric exactly,
+    so the residual measures only numerical noise and input inconsistency.
+    Raises SingularMatrix at the inversion gate.
     """
-    if len(vectors) != 4:
-        raise ValueError(f"expected 4 vectors, got {len(vectors)}")
-    d = np.column_stack([v.as_array() for v in vectors])
     f = gramian(vectors)
+    d = np.column_stack([v.as_array() for v in vectors])
+    finv = invert_matrix(f)
+    resid = d @ finv @ d.T - minkowski_metric_inv(len(f) - 2)
+    return f, finv, float(np.max(np.abs(resid)))
+
+
+def verify_generalized(vectors: Sequence) -> float:
+    """Residual of configuration_identity; a singular Gramian is a DegenerateConfiguration."""
     try:
-        finv = invert4(f)
+        return configuration_identity(vectors)[2]
     except SingularMatrix as exc:
         raise DegenerateConfiguration(str(exc)) from exc
-    resid = d @ finv @ d.T - MINKOWSKI_METRIC_INV
-    return float(np.max(np.abs(resid)))

@@ -1,7 +1,8 @@
 """Tangent-sphere identities in arbitrary dimension.
 
 (n-1)-spheres in n-space lift to space-like unit vectors in an
-(n+2)-dimensional Minkowski space exactly as planar disks do for n = 2.
+(n+2)-dimensional Minkowski space exactly as planar disks do for n = 2, so
+the metric, product, Gramian and configuration identity are minkowski's.
 The all-tangent Gramian (diagonal -1, off-diagonal 1) has inverse
 J/(2n) - I/2, and the vanishing curvature-curvature entry of the inverse
 metric turns that into the curvature identity (sum b)^2 = n * sum(b^2).
@@ -15,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadDimension, DegenerateConfiguration, SingularMatrix, ZeroRadius
-from .minkowski import invert_matrix
+from .errors import BadDimension, ZeroRadius
+from .minkowski import gramian, inner, verify_generalized
 
 
 @dataclass(frozen=True)
@@ -47,26 +48,6 @@ class NVector:
         return np.array([*self.coords, self.beta, self.gamma])
 
 
-def minkowski_metric(n: int) -> np.ndarray:
-    """(n+2)x(n+2) metric: -identity block plus the half-swap curvature block."""
-    if n < 2:
-        raise BadDimension(f"dimension must be >= 2, got {n!r}")
-    g = np.zeros((n + 2, n + 2))
-    g[:n, :n] = -np.eye(n)
-    g[n, n + 1] = g[n + 1, n] = 0.5
-    return g
-
-
-def minkowski_metric_inv(n: int) -> np.ndarray:
-    """Exact inverse of minkowski_metric(n)."""
-    if n < 2:
-        raise BadDimension(f"dimension must be >= 2, got {n!r}")
-    g = np.zeros((n + 2, n + 2))
-    g[:n, :n] = -np.eye(n)
-    g[n, n + 1] = g[n + 1, n] = 2.0
-    return g
-
-
 def lift_sphere(s: NSphere) -> NVector:
     """Map a sphere to its normalized space-like (n+2)-vector."""
     if s.dim < 2:
@@ -78,43 +59,10 @@ def lift_sphere(s: NSphere) -> NVector:
     return NVector(tuple(c / r for c in s.center), 1.0 / r, (norm2 - r * r) / r)
 
 
-def inner_sphere(u: NVector, v: NVector) -> float:
-    """Minkowski product of two lifted spheres of the same dimension."""
-    if u.dim != v.dim:
-        raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    s = 0.0
-    for a, b in zip(u.coords, v.coords):
-        s += a * b
-    return -s + 0.5 * (u.beta * v.gamma + v.beta * u.gamma)
-
-
-def gramian_n(vectors: Sequence[NVector]) -> np.ndarray:
-    """Symmetric matrix of pairwise products of n+2 lifted spheres."""
-    m = len(vectors)
-    f = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            f[i, j] = f[j, i] = inner_sphere(vectors[i], vectors[j])
-    return f
-
-
-def verify_generalized_n(vectors: Sequence[NVector]) -> float:
-    """Max-abs residual of D f^-1 D^T = G for n+2 spheres in n-space."""
-    if not vectors:
-        raise ValueError("no vectors given")
-    n = vectors[0].dim
-    if any(v.dim != n for v in vectors):
-        raise ValueError("all vectors must share one dimension")
-    if len(vectors) != n + 2:
-        raise ValueError(f"need n+2 = {n + 2} vectors for n = {n}, got {len(vectors)}")
-    d = np.column_stack([v.as_array() for v in vectors])
-    f = gramian_n(vectors)
-    try:
-        finv = invert_matrix(f)
-    except SingularMatrix as exc:
-        raise DegenerateConfiguration(str(exc)) from exc
-    resid = d @ finv @ d.T - minkowski_metric_inv(n)
-    return float(np.max(np.abs(resid)))
+# the n-dimensional names of the shared kernel
+inner_sphere = inner
+gramian_n = gramian
+verify_generalized_n = verify_generalized
 
 
 def soddy_gosset_residual(curvatures: Sequence[float], n: int) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -316,3 +317,35 @@ class TestParsing:
     def test_sphere_count_mismatch(self, tmp_path):
         doc = {"dim": 3, "disks": [SPHERE_DOC["disks"][0]] * 4}
         assert main(["verify", write_doc(tmp_path, doc)]) == 2
+
+
+# sha256 of `gasket --seed S --depth 8 --csv --svg` (13,124 disks each); the
+# 0,0,1,1 seed covers the halfplane rows and lines
+GOLDEN_DEPTH_8 = {
+    "-1,2,2,3": (
+        "44c5e7a8b0d5c3f6ef4ef164e5d013ac821c704ffe6977fbe11eb8ed29a60aa6",
+        "c0d0ccc452e1a74b5f4d86510f56482155f726b01120bfdfb5d72679d73a3995",
+    ),
+    "0,0,1,1": (
+        "16927cf357ab8031bf9e8c380c836d8f11f2ff32d16c0c57adddae038dc44d82",
+        "2da11ba9e5fb02473701c2954cb3cc85d295fa164aed7e28d5a15edeb99001fd",
+    ),
+    "-2,3,6,7": (
+        "c3fdd0d038817ff15c5244c2f0050b662579faa45c9c2d37ea60c283f00f3413",
+        "7f2d81b80bbce78dcaba3b980386fc671ea76a589fcac6f56cb0a17671c2ea9d",
+    ),
+    "0.7,1.3,2.9": (
+        "08580a0494dde9536e9c543e145827fad407d94ebad581c427fad43e8012e2fb",
+        "c12a3b1f27c080e005156708b9694dc21692fdaf6774d4052fe64981fbd5ff8d",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_DEPTH_8))
+def test_gasket_depth_8_golden(seed, tmp_path, capsys):
+    csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+    args = ["gasket", "--seed", seed, "--depth", "8", "--csv", str(csv_path), "--svg", str(svg_path)]
+    assert main(args) == 0
+    assert "disks: 13124" in capsys.readouterr().out
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, svg_path))
+    assert digests == GOLDEN_DEPTH_8[seed]

@@ -12,6 +12,7 @@ from diskgeom import (
     CircleVector,
     DegenerateConfiguration,
     Halfplane,
+    NSphere,
     NonUnitNormal,
     NotNormalized,
     NotSpacelike,
@@ -24,6 +25,7 @@ from diskgeom import (
     invert4,
     invert_matrix,
     lift,
+    lift_sphere,
     normalize,
     project,
     verify_generalized,
@@ -326,3 +328,14 @@ class TestVerifyGeneralized:
 def test_metric_inverse_is_exact():
     assert np.array_equal(MINKOWSKI_METRIC @ MINKOWSKI_METRIC_INV, np.eye(4))
     assert np.array_equal(MINKOWSKI_METRIC, MINKOWSKI_METRIC.T)
+
+
+def test_mixed_dimensions_rejected():
+    planar = [lift(Circle((3.0 * k, 0.0), 1.0)) for k in range(3)]
+    sphere = lift_sphere(NSphere((0.0, 0.0, 3.0), 1.0))
+    with pytest.raises(ValueError):
+        inner(planar[0], sphere)
+    with pytest.raises(ValueError):
+        gramian([*planar, sphere])
+    with pytest.raises(ValueError):
+        verify_generalized([*planar, sphere])
