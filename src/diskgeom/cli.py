@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -32,6 +31,7 @@ from .errors import (
     ZeroRadius,
 )
 from .gasket import (
+    GasketDisks,
     GenerationLimits,
     RenderStyle,
     canonical_quadruple,
@@ -250,20 +250,22 @@ def _parse_seed(text: str) -> list[float]:
     return values
 
 
-def _write_gasket_csv(path: str, disks) -> None:
+def _write_gasket_csv(path: str, disks: GasketDisks) -> None:
+    vectors = disks.vectors
+    beta = vectors[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # + 0.0 flushes negative zeros out of the output
+        xs = (vectors[:, 0] / beta + 0.0).tolist()
+        ys = (vectors[:, 1] / beta + 0.0).tolist()
+    for k in np.flatnonzero(beta == 0.0).tolist():
+        # boundary anchor point of the halfplane
+        nx, ny, offset = halfplane_geometry(CircleVector(*vectors[k].tolist()))
+        xs[k], ys[k] = nx * offset, ny * offset
+    # every field is an int or a float repr, so no field ever needs CSV quoting
+    rows = zip(disks.depths.tolist(), beta.tolist(), xs, ys)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["depth", "curvature", "x", "y"])
-        for disk in disks:
-            v = disk.vector
-            if v.beta != 0.0:
-                # + 0.0 flushes negative zeros out of the output
-                x, y = v.xdot / v.beta + 0.0, v.ydot / v.beta + 0.0
-            else:
-                # boundary anchor point of the halfplane
-                nx, ny, offset = halfplane_geometry(v)
-                x, y = nx * offset, ny * offset
-            writer.writerow([disk.depth, repr(v.beta), repr(x), repr(y)])
+        fh.write("depth,curvature,x,y\n")
+        fh.write("".join(f"{d},{b!r},{x!r},{y!r}\n" for d, b, x, y in rows))
 
 
 def cmd_gasket(args: argparse.Namespace) -> int:
@@ -291,9 +293,10 @@ def cmd_gasket(args: argparse.Namespace) -> int:
         svg = render_svg(result, RenderStyle(fill_by_depth=args.fill_by_depth))
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
-    radii = [abs(1.0 / d.vector.beta) for d in result.disks if d.vector.beta != 0.0]
+    beta = result.disks.vectors[:, 2]
+    radii = np.abs(1.0 / beta[beta != 0.0])
     print(f"disks: {len(result.disks)}")
-    print(f"min radius: {fmt_float(min(radii)) if radii else 'n/a'}")
+    print(f"min radius: {fmt_float(radii.min()) if len(radii) else 'n/a'}")
     return EXIT_OK
 
 

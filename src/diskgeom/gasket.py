@@ -1,23 +1,33 @@
-"""Apollonian gasket generation by breadth-first tangency reflections."""
+"""Apollonian gasket generation by level-synchronous tangency reflections.
+
+A gasket is a reflection tree: non-backtracking reflection words give every
+packing circle exactly once.  It is grown one depth level at a time on numpy
+arrays and stored as arrays; the disk and quadruple objects of the public
+API are built only when a caller indexes or iterates them.
+"""
 
 from __future__ import annotations
 
 import colorsys
-from collections import deque
+import functools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 from .descartes import (
     Quadruple,
     descartes_residual,
     solve_fourth_disk,
     tangent_disk_with_curvature,
-    vieta_reflect,
 )
 from .errors import ComplexRoots, DiskGeomError, EmptyGasket, InvalidSeed
 from .minkowski import Circle, CircleVector, Halfplane, halfplane_geometry, lift
 
 SPECTRUM_QUANTUM = 1e-7
+
+# the slots that stay fixed when slot i is reflected, ascending
+_OTHERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -41,75 +51,174 @@ class GenerationLimits:
 
 @dataclass(frozen=True)
 class GasketDisk:
-    """One stored disk with its BFS depth and the quadruple it came from."""
+    """One stored disk with its reflection depth and the quadruple it came from."""
 
     vector: CircleVector
     depth: int
     quadruple_id: int
 
 
+class _ArraySequence(Sequence):
+    """Immutable sequence over read-only numpy arrays; items are built on access.
+
+    Subclasses name their arrays in __slots__, the first one giving the
+    length, and build item k in _item.  The arrays are not copied.  Equality
+    and hashing go by content, like the tuples these sequences stand in for.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *arrays) -> None:
+        for name, array in zip(self.__slots__, arrays, strict=True):
+            view = np.asarray(array).view()
+            view.flags.writeable = False
+            setattr(self, name, view)
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self._item(i) for i in range(len(self))[k])
+        return self._item(range(len(self))[k])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in self.__slots__)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class GasketDisks(_ArraySequence):
+    """Stored disks: lifted vectors (N,4), depths (N,) and parent quadruple ids (N,)."""
+
+    __slots__ = ("vectors", "depths", "quadruple_ids")
+
+    @classmethod
+    def from_disks(cls, disks: Iterable[GasketDisk]) -> GasketDisks:
+        disks = tuple(disks)
+        return cls(
+            np.array([tuple(d.vector) for d in disks], dtype=float).reshape(-1, 4),
+            np.array([d.depth for d in disks], dtype=np.intp),
+            np.array([d.quadruple_id for d in disks], dtype=np.intp),
+        )
+
+    def _item(self, k: int) -> GasketDisk:
+        return GasketDisk(
+            CircleVector(*self.vectors[k].tolist()), int(self.depths[k]), int(self.quadruple_ids[k])
+        )
+
+    def __iter__(self):
+        rows = zip(self.vectors.tolist(), self.depths.tolist(), self.quadruple_ids.tolist())
+        return (GasketDisk(CircleVector(*v), d, q) for v, d, q in rows)
+
+
+class GasketQuadruples(_ArraySequence):
+    """Explored quadruples as rows (M,4) of indices into the disk vectors (N,4)."""
+
+    __slots__ = ("members", "vectors")
+
+    def _item(self, k: int) -> Quadruple:
+        return Quadruple(tuple(CircleVector(*v) for v in self.vectors[self.members[k]].tolist()))
+
+
+class QuadrupleDepths(_ArraySequence):
+    """Depth (M,) of each explored quadruple."""
+
+    __slots__ = ("depths",)
+
+    def _item(self, k: int) -> int:
+        return int(self.depths[k])
+
+
 @dataclass(frozen=True)
 class Gasket:
+    """A grown gasket; a plain sequence of GasketDisk is converted to GasketDisks."""
+
     seed: Quadruple
     limits: GenerationLimits
-    disks: tuple[GasketDisk, ...]
-    quadruples: tuple[Quadruple, ...]
-    quadruple_depths: tuple[int, ...]
+    disks: GasketDisks
+    quadruples: Sequence[Quadruple]
+    quadruple_depths: Sequence[int]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.disks, GasketDisks):
+            object.__setattr__(self, "disks", GasketDisks.from_disks(self.disks))
 
 
 def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
-    """Breadth-first reflection closure of the seed under the given limits.
+    """Level-by-level reflection closure of the seed under the given limits.
 
     Each frontier quadruple reflects at every slot except the one that
     created it (the reflection is an involution, so that slot would only
-    regenerate the parent).  Children are visited in slot order, which makes
-    the stored disk sequence deterministic.  A disk above max_curvature
-    prunes its whole quadruple.
+    regenerate the parent).  Children are laid out parent-major, then in
+    slot order, which makes the stored disk sequence deterministic.  A disk
+    above max_curvature prunes its whole quadruple; max_count cuts the
+    level it is reached in.
     """
     try:
         seed.validate()
     except DiskGeomError as exc:
         raise InvalidSeed(str(exc)) from exc
-    disks = [GasketDisk(v, 0, 0) for v in seed.vectors]
-    quads = [seed]
-    qdepths = [0]
-    queue: deque[tuple[int, int, int]] = deque([(0, -1, 0)])
-    full = False
-    while queue and not full:
-        qid, born_slot, depth = queue.popleft()
-        if limits.max_depth is not None and depth + 1 > limits.max_depth:
-            continue
-        q = quads[qid]
-        for slot in range(4):
-            if slot == born_slot:
-                continue
-            child = vieta_reflect(q, slot)
-            new = child.vectors[slot]
-            if limits.max_curvature is not None and new.beta > limits.max_curvature:
-                continue
-            if limits.max_count is not None and len(disks) >= limits.max_count:
-                full = True
-                break
-            disks.append(GasketDisk(new, depth + 1, qid))
-            quads.append(child)
-            qdepths.append(depth + 1)
-            queue.append((len(quads) - 1, slot, depth + 1))
-    return Gasket(seed, limits, tuple(disks), tuple(quads), tuple(qdepths))
+    frontier = np.array([[tuple(v) for v in seed.vectors]], dtype=float)  # (Q,4,4)
+    members = np.arange(4)[None, :]  # disk index of each frontier slot
+    born = np.array([-1])  # the slot that created each frontier quadruple
+    # per level: the new disks' vectors, depths and parent quadruple ids,
+    # and the members of the quadruples they complete
+    vectors, depths, parents = [frontier[0]], [np.zeros(4, np.intp)], [np.zeros(4, np.intp)]
+    member_rows = [members]
+    n, first, depth = 4, 0, 0  # disks so far, id of the first frontier quadruple, its depth
+    while (
+        len(frontier)
+        and (limits.max_depth is None or depth < limits.max_depth)
+        and (limits.max_count is None or n < limits.max_count)
+    ):
+        reflected = np.empty_like(frontier)
+        for i, (a, b, c) in enumerate(_OTHERS):
+            # vieta_reflect's order of operations, so the values match it bit for bit;
+            # a generator-matrix product rounds differently
+            others = frontier[:, a] + frontier[:, b] + frontier[:, c]
+            reflected[:, i] = 2.0 * others - frontier[:, i]
+        keep = born[:, None] != np.arange(4)
+        if limits.max_curvature is not None:
+            keep &= ~(reflected[:, :, 2] > limits.max_curvature)
+        parent, born = np.nonzero(keep)
+        if limits.max_count is not None:
+            parent, born = parent[: limits.max_count - n], born[: limits.max_count - n]
+        rows = np.arange(len(parent))
+        new = reflected[parent, born]
+        frontier = frontier[parent]
+        frontier[rows, born] = new
+        members = members[parent]
+        members[rows, born] = n + rows
+        depth += 1
+        vectors.append(new)
+        depths.append(np.full(len(parent), depth, np.intp))
+        parents.append(first + parent)
+        member_rows.append(members)
+        first += len(keep)
+        n += len(parent)
+    all_vectors = np.concatenate(vectors)
+    disks = GasketDisks(all_vectors, np.concatenate(depths), np.concatenate(parents))
+    quadruples = GasketQuadruples(np.concatenate(member_rows), all_vectors)
+    # quadruple k >= 1 is the one that added disk k + 3
+    quadruple_depths = QuadrupleDepths(np.concatenate([[0], disks.depths[4:]]))
+    return Gasket(seed, limits, disks, quadruples, quadruple_depths)
 
 
 def curvature_spectrum(g: Gasket) -> list[tuple[float, int]]:
-    """Curvature histogram in bins of relative width SPECTRUM_QUANTUM, ascending."""
-    counts: dict[float, tuple[float, int]] = {}
-    for disk in g.disks:
-        b = disk.vector.beta
-        step = SPECTRUM_QUANTUM * max(1.0, abs(b))
-        q = round(b / step) * step
-        if q in counts:
-            val, n = counts[q]
-            counts[q] = (val, n + 1)
-        else:
-            counts[q] = (b, 1)
-    return sorted(counts.values())
+    """Curvature histogram in bins of relative width SPECTRUM_QUANTUM, ascending.
+
+    Each bin reports the first curvature that fell into it.
+    """
+    b = g.disks.vectors[:, 2]
+    step = SPECTRUM_QUANTUM * np.maximum(1.0, np.abs(b))
+    _, first, counts = np.unique(np.round(b / step) * step, return_index=True, return_counts=True)
+    return sorted(zip(b[first].tolist(), counts.tolist()))
 
 
 def canonical_quadruple(curvatures: Sequence[float]) -> Quadruple:
@@ -165,17 +274,12 @@ class RenderStyle:
     stroke_width: float | None = None
 
 
+@functools.cache
 def _depth_fill(depth: int) -> str:
     # golden-angle hue steps keep fills distinct across depth levels
     h = (depth * 0.6180339887498949) % 1.0
     r, g, b = colorsys.hsv_to_rgb(h, 0.55, 0.95)
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
-
-
-def _center_radius(v: CircleVector) -> tuple[float, float, float]:
-    r = 1.0 / v.beta
-    # + 0.0 flushes negative zeros out of rendered coordinates
-    return v.xdot * r + 0.0, v.ydot * r + 0.0, r
 
 
 def render_svg(g: Gasket, style: RenderStyle | None = None) -> str:
@@ -188,24 +292,22 @@ def render_svg(g: Gasket, style: RenderStyle | None = None) -> str:
     if not g.disks:
         raise EmptyGasket("no disks to render")
     style = style or RenderStyle()
-    circles: list[tuple[float, float, float, int, bool]] = []
-    lines: list[tuple[float, float, float]] = []
-    for disk in g.disks:
-        v = disk.vector
-        if v.beta == 0.0:
-            lines.append(halfplane_geometry(v))
-        else:
-            cx, cy, r = _center_radius(v)
-            circles.append((cx, cy, abs(r), disk.depth, r < 0.0))
-    enclosing = [c for c in circles if c[4]]
-    if enclosing:
-        cx, cy, r, _, _ = max(enclosing, key=lambda c: c[2])
-        xmin, xmax, ymin, ymax = cx - r, cx + r, cy - r, cy + r
-    elif circles:
-        xmin = min(c[0] - c[2] for c in circles)
-        xmax = max(c[0] + c[2] for c in circles)
-        ymin = min(c[1] - c[2] for c in circles)
-        ymax = max(c[1] + c[2] for c in circles)
+    vectors = g.disks.vectors
+    on_line = vectors[:, 2] == 0.0
+    lines = [halfplane_geometry(CircleVector(*v)) for v in vectors[on_line].tolist()]
+    r = 1.0 / vectors[~on_line, 2]
+    # + 0.0 flushes negative zeros out of rendered coordinates
+    cx = vectors[~on_line, 0] * r + 0.0
+    cy = vectors[~on_line, 1] * r + 0.0
+    outline = r < 0.0
+    r = np.abs(r)
+    if outline.any():
+        k = np.flatnonzero(outline)[np.argmax(r[outline])]
+        xmin, xmax = (cx[k] - r[k]).item(), (cx[k] + r[k]).item()
+        ymin, ymax = (cy[k] - r[k]).item(), (cy[k] + r[k]).item()
+    elif len(r):
+        xmin, xmax = (cx - r).min().item(), (cx + r).max().item()
+        ymin, ymax = (cy - r).min().item(), (cy + r).max().item()
     else:
         xmin = ymin = -1.0
         xmax = ymax = 1.0
@@ -229,16 +331,14 @@ def render_svg(g: Gasket, style: RenderStyle | None = None) -> str:
             f'x2="{ax + reach * dx!r}" y2="{ay + reach * dy!r}" '
             f'stroke="{style.stroke}" stroke-width="{sw!r}"/>'
         )
-    for cx, cy, r, depth, outline in circles:
-        if outline:
-            fill = "none"
-        elif style.fill_by_depth:
-            fill = _depth_fill(depth)
-        else:
-            fill = style.fill
-        parts.append(
-            f'<circle cx="{cx!r}" cy="{cy!r}" r="{r!r}" fill="{fill}" '
-            f'stroke="{style.stroke}" stroke-width="{sw!r}"/>'
-        )
+    fills = [
+        "none" if o else _depth_fill(d) if style.fill_by_depth else style.fill
+        for o, d in zip(outline.tolist(), g.disks.depths[~on_line].tolist())
+    ]
+    tail = f'" stroke="{style.stroke}" stroke-width="{sw!r}"/>'
+    parts.extend(
+        f'<circle cx="{x!r}" cy="{y!r}" r="{rr!r}" fill="{fill}{tail}'
+        for x, y, rr, fill in zip(cx.tolist(), cy.tolist(), r.tolist(), fills)
+    )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -349,3 +349,35 @@ def test_gasket_depth_8_golden(seed, tmp_path, capsys):
     assert "disks: 13124" in capsys.readouterr().out
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, svg_path))
     assert digests == GOLDEN_DEPTH_8[seed]
+
+
+# sha256 of the CSV and SVG on the limit paths the depth-8 golden misses:
+# curvature pruning, a max-count cut inside a level, depth fills and halfplanes
+GOLDEN_LIMITS = {
+    "0.7,1.3,2.9 --max-curvature 500 --max-count 5000 --fill-by-depth": (
+        5000,
+        "78e4658d4ef939b811e786047262a470739d3d3d08f18a4ae101c8685731000b",
+        "5947bee0cbc453edd0ed4af71aefe570d8838cbba61938ef710cfdb9580d003e",
+    ),
+    "0,0,1,1 --max-curvature 200 --max-count 3001": (
+        3001,
+        "ded00f25f0dc557b597772f75d66931d6a49745129a166e8cd3679d2e4801f09",
+        "2433235a44e46681826ac06355f354281a01a07667b8d061096d6fc473e5f787",
+    ),
+    "-2,3,6,7 --depth 6 --max-curvature 400": (
+        303,
+        "2e72ead0774020748b11c001ae0bc0530ef8d0cdd019170b287bcb0786bdf354",
+        "5359f26509f8b938c45002aa1a38466a828d968a37537752072957f30b4be7bd",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(GOLDEN_LIMITS))
+def test_gasket_limits_golden(flags, tmp_path, capsys):
+    csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+    args = ["gasket", "--seed", *flags.split(), "--csv", str(csv_path), "--svg", str(svg_path)]
+    assert main(args) == 0
+    count, *want = GOLDEN_LIMITS[flags]
+    assert f"disks: {count}\n" in capsys.readouterr().out
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, svg_path)]
+    assert digests == want

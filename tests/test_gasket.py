@@ -1,13 +1,18 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diskgeom import (
     Circle,
     ComplexRoots,
+    DiskGeomError,
     EmptyGasket,
     Gasket,
+    GasketDisk,
     GenerationLimits,
     InvalidSeed,
     Quadruple,
@@ -59,6 +64,47 @@ def brute_force_counts(seed: Quadruple, max_depth: int) -> dict[int, int]:
     for _, depth in stored:
         counts[depth] = counts.get(depth, 0) + 1
     return counts
+
+
+def reference_generate(seed: Quadruple, limits: GenerationLimits):
+    """Object BFS over vieta_reflect: the reference for the array engine.
+
+    Returns the disks as (vector, depth, quadruple_id) tuples, the explored
+    quadruples and their depths, in generation order.
+    """
+    try:
+        seed.validate()
+    except DiskGeomError as exc:
+        raise InvalidSeed(str(exc)) from exc
+    disks = [(v, 0, 0) for v in seed.vectors]
+    quads = [seed]
+    qdepths = [0]
+    queue = deque([(0, -1, 0)])
+    full = False
+    while queue and not full:
+        qid, born_slot, depth = queue.popleft()
+        if limits.max_depth is not None and depth + 1 > limits.max_depth:
+            continue
+        for slot in range(4):
+            if slot == born_slot:
+                continue
+            child = vieta_reflect(quads[qid], slot)
+            new = child.vectors[slot]
+            if limits.max_curvature is not None and new.beta > limits.max_curvature:
+                continue
+            if limits.max_count is not None and len(disks) >= limits.max_count:
+                full = True
+                break
+            disks.append((new, depth + 1, qid))
+            quads.append(child)
+            qdepths.append(depth + 1)
+            queue.append((len(quads) - 1, slot, depth + 1))
+    return disks, quads, qdepths
+
+
+def bits(vectors) -> bytes:
+    """Raw float64 bytes, so signed zeros and last-bit differences count."""
+    return np.array([tuple(v) for v in vectors], dtype=float).tobytes()
 
 
 class TestCanonicalQuadruple:
@@ -182,6 +228,34 @@ class TestGenerate:
         with pytest.raises(InvalidSeed):
             generate(bad, depth_limit(1))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.just(0.0) | st.floats(0.05, 40.0), min_size=3, max_size=3),
+        st.integers(0, 5),
+        st.none() | st.floats(0.5, 300.0),
+        st.none() | st.integers(4, 600),
+    )
+    def test_matches_object_bfs(self, curvatures, max_depth, max_curvature, max_count):
+        try:
+            seed = canonical_quadruple(curvatures)
+        except DiskGeomError:
+            assume(False)
+        limits = GenerationLimits(max_depth, max_curvature, max_count)
+        try:
+            disks, quads, qdepths = reference_generate(seed, limits)
+        except InvalidSeed:
+            with pytest.raises(InvalidSeed):
+                generate(seed, limits)
+            return
+        g = generate(seed, limits)
+        assert bits(d[0] for d in disks) == g.disks.vectors.tobytes()
+        assert [d[1:] for d in disks] == [(d.depth, d.quadruple_id) for d in g.disks]
+        assert list(g.disks) == [GasketDisk(*d) for d in disks]
+        assert list(g.quadruple_depths) == qdepths
+        assert len(g.quadruples) == len(quads)
+        for ours, theirs in zip(g.quadruples, quads):
+            assert bits(ours.vectors) == bits(theirs.vectors)
+
     def test_limits_must_be_finite(self):
         with pytest.raises(ValueError):
             GenerationLimits()
@@ -245,6 +319,21 @@ class TestRenderSvg:
         svg = render_svg(g)
         assert svg.count("<line ") == 2
         assert svg.count("<circle ") == len(g.disks) - 2
+
+    @pytest.mark.parametrize("curvatures", [SEED_CURVATURES, (0.0, 0.0, 1.0)])
+    def test_plain_disk_tuple_matches_generated(self, curvatures):
+        g = generate(canonical_quadruple(curvatures), depth_limit(3))
+        copy = Gasket(
+            g.seed, g.limits, tuple(g.disks), tuple(g.quadruples), tuple(g.quadruple_depths)
+        )
+        assert len(copy.disks) == len(g.disks)
+        assert list(copy.disks) == list(g.disks)
+        assert copy.disks == g.disks
+        style = RenderStyle(fill_by_depth=True)
+        assert render_svg(copy, style) == render_svg(g, style)
+        assert curvature_spectrum(copy) == curvature_spectrum(g)
+        with pytest.raises(ValueError):
+            g.disks.vectors[0, 0] = 0.0
 
     def test_empty_gasket_rejected(self, int_quadruple):
         empty = Gasket(int_quadruple, depth_limit(0), (), (int_quadruple,), (0,))
