@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -14,6 +15,7 @@ from .descartes import (
     Quadruple,
     descartes_residual,
     solve_fourth_disk,
+    worst_tangency,
 )
 from .errors import (
     BadDimension,
@@ -45,7 +47,6 @@ from .minkowski import (
     Halfplane,
     configuration_identity,
     halfplane_geometry,
-    inner,
     lift,
     project,
 )
@@ -72,7 +73,7 @@ class DocumentError(ValueError):
 def fmt_float(x: float) -> str:
     """Shortest round-trip decimal; integral values drop the decimal point."""
     x = float(x)
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
 
@@ -218,12 +219,7 @@ def cmd_solve4(args: argparse.Namespace) -> int:
     try:
         roots = solve_fourth_disk(*vectors, tol=args.tol)
     except NotTangent:
-        worst, pair = 0.0, (0, 1)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                r = abs(inner(vectors[i], vectors[j]) - 1.0)
-                if r > worst:
-                    worst, pair = r, (i, j)
+        worst, pair = worst_tangency(vectors)
         raise NotTangent(
             f"disks {pair[0]} and {pair[1]} are not tangent, residual {worst!r}"
         ) from None
@@ -353,7 +349,9 @@ def cmd_project(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and reused by every main() call."""
     parser = argparse.ArgumentParser(
         prog="diskgeom",
         description="Tangent-disk geometry: verify configurations, solve tangency "

@@ -79,61 +79,71 @@ def solve_fourth_curvature(a: float, b: float, c: float) -> tuple[float, float]:
 
 def tangency_residual(vectors: Sequence[CircleVector]) -> float:
     """Max deviation of pairwise products from 1 over distinct pairs."""
+    return worst_tangency(vectors)[0]
+
+
+def worst_tangency(vectors: Sequence[CircleVector]) -> tuple[float, tuple[int, int]]:
+    """Largest |<u,v> - 1| over distinct pairs, and the first pair that attains it."""
     if len(vectors) not in (3, 4):
         raise ValueError(f"expected 3 or 4 vectors, got {len(vectors)}")
-    worst = 0.0
+    worst, pair = 0.0, (0, 1)
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
-            worst = max(worst, abs(inner(vectors[i], vectors[j]) - 1.0))
-    return worst
+            r = abs(inner(vectors[i], vectors[j]) - 1.0)
+            if r > worst:
+                worst, pair = r, (i, j)
+    return worst, pair
 
 
-def _solution_line(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solution_line(rows: list[list[float]], rhs: list[float]) -> tuple[list[float], list[float]]:
     """Particular point and null direction of the 3x4 system rows @ x = rhs.
 
     Gaussian elimination with full pivoting over rows and columns; a pivot
-    ratio below _RANK_TOL marks the constraints as rank deficient.
+    ratio below _RANK_TOL marks the constraints as rank deficient.  Runs on
+    Python floats: each step rounds as the same numpy float64 step would.
     """
-    a = np.hstack([np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float).reshape(3, 1)])
+    a = [[*row, h] for row, h in zip(rows, rhs)]
     pivot_cols: list[int] = []
     free_cols = [0, 1, 2, 3]
     for k in range(3):
         best_val = -1.0
         best = (k, free_cols[0])
         for i in range(k, 3):
+            row = a[i]
             for j in free_cols:
-                v = abs(a[i, j])
+                v = abs(row[j])
                 if v > best_val:
                     best_val = v
                     best = (i, j)
         i, j = best
         if best_val <= 0.0:
             raise DegenerateTriple("tangency constraints are rank deficient")
-        if i != k:
-            a[[k, i]] = a[[i, k]]
+        a[k], a[i] = a[i], a[k]
+        pivot_row = a[k]
         for i2 in range(k + 1, 3):
-            factor = a[i2, j] / a[k, j]
-            a[i2] = a[i2] - factor * a[k]
-            a[i2, j] = 0.0
+            factor = a[i2][j] / pivot_row[j]
+            a[i2] = [x - factor * y for x, y in zip(a[i2], pivot_row)]
+            a[i2][j] = 0.0
         pivot_cols.append(j)
         free_cols.remove(j)
-    pivots = [abs(a[k, c]) for k, c in enumerate(pivot_cols)]
+    pivots = [abs(a[k][c]) for k, c in enumerate(pivot_cols)]
     if min(pivots) < _RANK_TOL * max(pivots):
         raise DegenerateTriple(
             f"pivot ratio {min(pivots) / max(pivots):.3e} below rank tolerance"
         )
     free_col = free_cols[0]
 
-    def back(use_rhs: bool, free_val: float) -> np.ndarray:
-        x = np.zeros(4)
+    def back(use_rhs: bool, free_val: float) -> list[float]:
+        x = [0.0] * 4
         x[free_col] = free_val
         for k in (2, 1, 0):
             c = pivot_cols[k]
-            s = a[k, 4] if use_rhs else 0.0
+            row = a[k]
+            s = row[4] if use_rhs else 0.0
             for j in range(4):
                 if j != c:
-                    s -= a[k, j] * x[j]
-            x[c] = s / a[k, c]
+                    s -= row[j] * x[j]
+            x[c] = s / row[c]
         return x
 
     return back(True, 0.0), back(False, 1.0)
@@ -144,9 +154,9 @@ def _root_order(v: CircleVector) -> tuple[float, float, float, float]:
     return (-v.beta, -v.xdot, -v.ydot, -v.gamma)
 
 
-def _roots_on_line(point: np.ndarray, direction: np.ndarray) -> tuple[CircleVector, CircleVector]:
+def _roots_on_line(point: list[float], direction: list[float]) -> tuple[CircleVector, CircleVector]:
     """Intersect the affine line point + t*direction with <X,X> = -1."""
-    p, d = CircleVector(*point.tolist()), CircleVector(*direction.tolist())
+    p, d = CircleVector(*point), CircleVector(*direction)
     alpha = inner(d, d)
     if alpha == 0.0:
         raise DegenerateTriple("solution line is light-like")
@@ -163,10 +173,18 @@ def _roots_on_line(point: np.ndarray, direction: np.ndarray) -> tuple[CircleVect
     else:
         t1 = t2 = 0.0
     roots = sorted(
-        (normalize(point + t1 * direction), normalize(point + t2 * direction)),
+        (
+            normalize([x + t1 * y for x, y in zip(point, direction)]),
+            normalize([x + t2 * y for x, y in zip(point, direction)]),
+        ),
         key=_root_order,
     )
     return roots[0], roots[1]
+
+
+def _tangency_row(v: CircleVector) -> list[float]:
+    """Coefficients of x -> <v, x>, the row MINKOWSKI_METRIC @ v."""
+    return (MINKOWSKI_METRIC @ v.as_array()).tolist()
 
 
 def solve_fourth_disk(
@@ -174,9 +192,8 @@ def solve_fourth_disk(
 ) -> tuple[CircleVector, CircleVector]:
     """Both disks tangent to a mutually tangent triple, larger curvature first."""
     triple = (c1, c2, c3)
-    rows = np.stack([MINKOWSKI_METRIC @ v.as_array() for v in triple])
     # rank check first so repeated disks report degeneracy, not non-tangency
-    line = _solution_line(rows, np.ones(3))
+    line = _solution_line([_tangency_row(v) for v in triple], [1.0, 1.0, 1.0])
     resid = tangency_residual(triple)
     if resid > tol:
         raise NotTangent(f"triple tangency residual {resid!r} exceeds {tol!r}")
@@ -187,14 +204,8 @@ def tangent_disk_with_curvature(
     c1: CircleVector, c2: CircleVector, curvature: float
 ) -> tuple[CircleVector, CircleVector]:
     """Both disks of prescribed curvature tangent to two tangent disks."""
-    rows = np.stack(
-        [
-            MINKOWSKI_METRIC @ c1.as_array(),
-            MINKOWSKI_METRIC @ c2.as_array(),
-            np.array([0.0, 0.0, 1.0, 0.0]),
-        ]
-    )
-    return _roots_on_line(*_solution_line(rows, np.array([1.0, 1.0, float(curvature)])))
+    rows = [_tangency_row(c1), _tangency_row(c2), [0.0, 0.0, 1.0, 0.0]]
+    return _roots_on_line(*_solution_line(rows, [1.0, 1.0, float(curvature)]))
 
 
 def vieta_reflect(q: Quadruple, index: int) -> Quadruple:

@@ -13,6 +13,7 @@ configuration identity here serve every n; disks are the case n = 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -30,28 +31,29 @@ from .errors import (
 )
 
 
+@functools.cache
 def _block_metric(n: int, swap: float) -> np.ndarray:
     if n < 2:
         raise BadDimension(f"dimension must be >= 2, got {n!r}")
     g = np.diag([-1.0] * n + [0.0, 0.0])
     g[n, n + 1] = g[n + 1, n] = swap
+    # cached and shared by every caller, so nobody may write to it
+    g.setflags(write=False)
     return g
 
 
 def minkowski_metric(n: int) -> np.ndarray:
-    """(n+2)x(n+2) metric: -identity block plus the half-swap curvature block."""
+    """Read-only (n+2)x(n+2) metric: -identity block plus the half-swap curvature block."""
     return _block_metric(n, 0.5)
 
 
 def minkowski_metric_inv(n: int) -> np.ndarray:
-    """Exact inverse of minkowski_metric(n)."""
+    """Read-only exact inverse of minkowski_metric(n)."""
     return _block_metric(n, 2.0)
 
 
 MINKOWSKI_METRIC = minkowski_metric(2)
 MINKOWSKI_METRIC_INV = minkowski_metric_inv(2)
-MINKOWSKI_METRIC.setflags(write=False)
-MINKOWSKI_METRIC_INV.setflags(write=False)
 
 _UNIT_NORMAL_TOL = 1e-12
 _PROJECT_TOL = 1e-6
@@ -179,34 +181,54 @@ def intersection_angle(d1: Disk, d2: Disk) -> float | None:
     return math.acos(p)
 
 
-def gramian(vectors: Sequence) -> np.ndarray:
-    """Symmetric matrix of pairwise products of n+2 lifted vectors in n-space."""
+def _lifted_rows(vectors: Sequence) -> np.ndarray:
+    """(n+2, n+2) array whose rows are n+2 lifted vectors (coords, beta, gamma)."""
     if not vectors:
         raise ValueError("no vectors given")
-    # inner() raises ValueError on vectors of different dimensions
-    n, m = len(vectors[0].coords), len(vectors)
-    if m != n + 2:
+    # np.array raises ValueError on vectors of different dimensions
+    rows = np.array([v.as_array() for v in vectors], dtype=float)
+    m, k = rows.shape
+    if m != k:
+        n = k - 2
         raise ValueError(f"need n+2 = {n + 2} vectors for n = {n}, got {m}")
-    f = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            f[i, j] = f[j, i] = inner(vectors[i], vectors[j])
-    return f
+    return rows
+
+
+def _gramian_of_rows(rows: np.ndarray) -> np.ndarray:
+    n = len(rows) - 2
+    coords, beta, gamma = rows[:, :n], rows[:, n], rows[:, n + 1]
+    bg = np.multiply.outer(beta, gamma)
+    # bg + bg.T adds the same two products in either order, and numpy forms
+    # a @ a.T as one symmetric rank-k update, so f is exactly symmetric
+    return 0.5 * (bg + bg.T) - coords @ coords.T
+
+
+def gramian(vectors: Sequence) -> np.ndarray:
+    """Symmetric matrix of pairwise products of n+2 lifted vectors in n-space."""
+    return _gramian_of_rows(_lifted_rows(vectors))
 
 
 def invert_matrix(m: np.ndarray) -> np.ndarray:
-    """Inverse by partially pivoted elimination, gated on a scaled determinant."""
+    """Inverse by partially pivoted elimination, gated on a scaled determinant.
+
+    Non-finite entries raise SingularMatrix naming the first such entry.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    n = m.shape[0]
-    scale = float(np.max(np.abs(m)))
+    scale = float(np.abs(m).max())
+    if not math.isfinite(scale):  # max propagates nan and keeps inf
+        i, j = np.argwhere(~np.isfinite(m))[0].tolist()
+        raise SingularMatrix(f"non-finite entry {float(m[i, j])!r} at ({i}, {j})")
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
-    det = float(np.linalg.det(m))
-    if abs(det) < _SINGULAR_GATE * scale**n:
-        raise SingularMatrix(f"determinant {det!r} below gate for entry scale {scale!r}")
-    return np.linalg.solve(m, np.eye(n))
+    # det(m / scale) = det(m) / scale^n, without overflowing scale^n
+    det = float(np.linalg.det(m / scale))
+    if abs(det) < _SINGULAR_GATE:
+        raise SingularMatrix(
+            f"determinant {det!r} of the matrix scaled by 1/{scale!r} is below {_SINGULAR_GATE!r}"
+        )
+    return np.linalg.inv(m)
 
 
 def invert4(m: np.ndarray) -> np.ndarray:
@@ -224,11 +246,11 @@ def configuration_identity(vectors: Sequence) -> tuple[np.ndarray, np.ndarray, f
     so the residual measures only numerical noise and input inconsistency.
     Raises SingularMatrix at the inversion gate.
     """
-    f = gramian(vectors)
-    d = np.column_stack([v.as_array() for v in vectors])
+    rows = _lifted_rows(vectors)
+    f = _gramian_of_rows(rows)
     finv = invert_matrix(f)
-    resid = d @ finv @ d.T - minkowski_metric_inv(len(f) - 2)
-    return f, finv, float(np.max(np.abs(resid)))
+    resid = rows.T @ finv @ rows - minkowski_metric_inv(len(f) - 2)
+    return f, finv, float(np.abs(resid).max())
 
 
 def verify_generalized(vectors: Sequence) -> float:

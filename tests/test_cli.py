@@ -1,9 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diskgeom.cli
 from diskgeom.cli import main
 
 QUAD_DOC = {
@@ -116,6 +121,26 @@ class TestVerify:
         doc = {"disks": [{"type": "circle", "center": [0, 0], "radius": 0}] * 4}
         assert main(["verify", write_doc(tmp_path, doc)]) == 2
 
+    # numpy warns about the overflow and the inf - inf of the Gramian
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            # x^2 overflows in the lift, so the Gramian holds a nan
+            (1e200, "non-finite entry nan at (0, 0)"),
+            # the lift is finite but the Gramian entries near 1e300
+            (1e150, "is below 1e-12"),
+        ],
+    )
+    def test_huge_center_is_degenerate(self, tmp_path, capsys, x, message, mode):
+        doc = {"disks": [{"type": "circle", "center": [x, 0.0], "radius": 1.0}] + QUAD_DOC["disks"][1:]}
+        code = main(["verify", write_doc(tmp_path, doc), *mode])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
 
 class TestSolve4:
     def test_equilateral(self, tmp_path, capsys):
@@ -158,8 +183,7 @@ class TestSolve4:
         code = main(["solve4", write_doc(tmp_path, doc)])
         err = capsys.readouterr().err
         assert code == 4
-        assert "not tangent" in err
-        assert "residual" in err
+        assert err == "error: disks 1 and 2 are not tangent, residual 23.0\n"
 
     def test_repeated_disk(self, tmp_path):
         doc = {"disks": [TRIPLE_DOC["disks"][0]] * 2 + [TRIPLE_DOC["disks"][1]]}
@@ -267,6 +291,11 @@ class TestLiftProject:
     def test_lift_zero_radius(self):
         assert main(["lift", "circle", "0", "0", "0"]) == 2
 
+    def test_lift_overflow_prints_inf(self, capsys):
+        # x^2 overflows, so gamma is inf; formatting it must not raise
+        assert main(["lift", "circle", "1e200", "0", "1"]) == 0
+        assert capsys.readouterr().out == "1e+200 0 1 inf\n"
+
     def test_project_circle(self, capsys):
         assert main(["project", "0", "0", "1", "-1"]) == 0
         assert capsys.readouterr().out == "circle 0 0 1\n"
@@ -317,6 +346,37 @@ class TestParsing:
     def test_sphere_count_mismatch(self, tmp_path):
         doc = {"dim": 3, "disks": [SPHERE_DOC["disks"][0]] * 4}
         assert main(["verify", write_doc(tmp_path, doc)]) == 2
+
+
+class TestParserReuse:
+    def test_repeated_calls_give_first_results(self, tmp_path, capsys):
+        quad = write_doc(tmp_path, QUAD_DOC)
+        triple = write_doc(tmp_path, TRIPLE_DOC, "triple.json")
+        runs = [
+            ["verify", quad, "--json"],
+            ["solve4", triple],
+            ["verify", quad, "--tol", "not-a-number"],  # argparse exits with 2
+            ["verify", quad],
+        ]
+        first = []
+        for argv in runs:
+            code = main(argv)
+            first.append((code, *capsys.readouterr()))
+        assert [run[0] for run in first] == [0, 0, 2, 0]
+        assert "invalid float value" in first[2][2]
+        for _ in range(2):
+            for argv, want in zip(runs, first):
+                code = main(argv)
+                assert (code, *capsys.readouterr()) == want
+
+    def test_import_does_not_build_parser(self):
+        src = Path(diskgeom.cli.__file__).parents[1]
+        probe = "import diskgeom.cli as cli; print(cli.build_parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True, timeout=60
+        )
+        assert done.stdout == "0\n"
 
 
 # sha256 of `gasket --seed S --depth 8 --csv --svg` (13,124 disks each); the

@@ -10,15 +10,18 @@ from diskgeom import (
     CircleVector,
     ComplexRoots,
     DegenerateTriple,
+    DiskGeomError,
     Halfplane,
     InvalidIndex,
     NotTangent,
     Quadruple,
+    MINKOWSKI_METRIC,
     descartes_residual,
     gramian,
     inner,
     invert4,
     lift,
+    normalize,
     project,
     solve_fourth_curvature,
     solve_fourth_disk,
@@ -27,8 +30,137 @@ from diskgeom import (
     verify_generalized,
     vieta_reflect,
 )
+from diskgeom.descartes import worst_tangency
 
 curvature = st.floats(-10.0, 100.0)
+
+
+def reference_solution_line(rows, rhs):
+    """The numpy full-pivot elimination the solvers used before they ran on
+    Python floats: the reference the solvers must match bit for bit."""
+    a = np.hstack([np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float).reshape(3, 1)])
+    pivot_cols = []
+    free_cols = [0, 1, 2, 3]
+    for k in range(3):
+        best_val = -1.0
+        best = (k, free_cols[0])
+        for i in range(k, 3):
+            for j in free_cols:
+                v = abs(a[i, j])
+                if v > best_val:
+                    best_val = v
+                    best = (i, j)
+        i, j = best
+        if best_val <= 0.0:
+            raise DegenerateTriple("tangency constraints are rank deficient")
+        if i != k:
+            a[[k, i]] = a[[i, k]]
+        for i2 in range(k + 1, 3):
+            factor = a[i2, j] / a[k, j]
+            a[i2] = a[i2] - factor * a[k]
+            a[i2, j] = 0.0
+        pivot_cols.append(j)
+        free_cols.remove(j)
+    pivots = [abs(a[k, c]) for k, c in enumerate(pivot_cols)]
+    if min(pivots) < 1e-10 * max(pivots):
+        raise DegenerateTriple(
+            f"pivot ratio {min(pivots) / max(pivots):.3e} below rank tolerance"
+        )
+    free_col = free_cols[0]
+
+    def back(use_rhs, free_val):
+        x = np.zeros(4)
+        x[free_col] = free_val
+        for k in (2, 1, 0):
+            c = pivot_cols[k]
+            s = a[k, 4] if use_rhs else 0.0
+            for j in range(4):
+                if j != c:
+                    s -= a[k, j] * x[j]
+            x[c] = s / a[k, c]
+        return x
+
+    return back(True, 0.0), back(False, 1.0)
+
+
+def reference_roots_on_line(point, direction):
+    p, d = CircleVector(*point.tolist()), CircleVector(*direction.tolist())
+    alpha = inner(d, d)
+    if alpha == 0.0:
+        raise DegenerateTriple("solution line is light-like")
+    b = inner(p, d)
+    c0 = inner(p, p) + 1.0
+    disc = b * b - alpha * c0
+    gate = 1e-12 * max(1.0, b * b, abs(alpha * c0))
+    if disc < -gate:
+        raise ComplexRoots(f"discriminant {disc!r} is negative")
+    sq = math.sqrt(max(disc, 0.0))
+    q = -(b + math.copysign(sq, b))
+    if q != 0.0:
+        t1, t2 = q / alpha, c0 / q
+    else:
+        t1 = t2 = 0.0
+    roots = sorted(
+        (normalize(point + t1 * direction), normalize(point + t2 * direction)),
+        key=lambda v: (-v.beta, -v.xdot, -v.ydot, -v.gamma),
+    )
+    return roots[0], roots[1]
+
+
+def reference_solve_fourth_disk(c1, c2, c3, tol=1e-6):
+    triple = (c1, c2, c3)
+    rows = np.stack([MINKOWSKI_METRIC @ v.as_array() for v in triple])
+    line = reference_solution_line(rows, np.ones(3))
+    resid = tangency_residual(triple)
+    if resid > tol:
+        raise NotTangent(f"triple tangency residual {resid!r} exceeds {tol!r}")
+    return reference_roots_on_line(*line)
+
+
+def reference_tangent_disk_with_curvature(c1, c2, curvature):
+    rows = np.stack(
+        [
+            MINKOWSKI_METRIC @ c1.as_array(),
+            MINKOWSKI_METRIC @ c2.as_array(),
+            np.array([0.0, 0.0, 1.0, 0.0]),
+        ]
+    )
+    return reference_roots_on_line(
+        *reference_solution_line(rows, np.array([1.0, 1.0, float(curvature)]))
+    )
+
+
+def outcome(fn, *args):
+    """repr of the result, or the exception type and message."""
+    try:
+        return repr(fn(*args))
+    except DiskGeomError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# small integers and signed zeros hit exact ties, zero pivots and the
+# sign of zero results; wide floats hit ordinary rounding
+component = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+raw_vector = st.builds(CircleVector, component, component, component, component)
+
+
+@st.composite
+def tangent_triples(draw):
+    """Three mutually externally tangent circles, lifted."""
+    r1, r2, r3 = (draw(st.floats(1e-3, 10.0)) for _ in range(3))
+    x, y = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    d12, d13, d23 = r1 + r2, r1 + r3, r2 + r3
+    cos_phi = (d12 * d12 + d13 * d13 - d23 * d23) / (2.0 * d12 * d13)
+    phi = math.acos(max(-1.0, min(1.0, cos_phi))) * draw(st.sampled_from([1.0, -1.0]))
+    return (
+        lift(Circle((x, y), r1)),
+        lift(Circle((x + d12 * math.cos(theta), y + d12 * math.sin(theta)), r2)),
+        lift(Circle((x + d13 * math.cos(theta + phi), y + d13 * math.sin(theta + phi)), r3)),
+    )
 
 
 def equilateral_triple():
@@ -112,6 +244,40 @@ class TestTangencyResidual:
     def test_wrong_count(self):
         with pytest.raises(ValueError):
             tangency_residual([CircleVector(0, 0, 1, -1)] * 2)
+
+    def test_worst_pair_is_named(self):
+        vectors = [
+            lift(Circle((0.0, 0.0), 1.0)),
+            lift(Circle((2.0, 0.0), 1.0)),
+            lift(Circle((5.0, 0.0), 1.0)),
+        ]
+        # (0,0)/(5,0) has product 11.5; the tangent (0,0)/(2,0) pair has 1
+        assert worst_tangency(vectors) == (pytest.approx(10.5, abs=1e-12), (0, 2))
+        assert worst_tangency(equilateral_triple())[0] == tangency_residual(equilateral_triple())
+
+
+class TestSolversMatchReference:
+    """The Python-float solvers reproduce the numpy elimination bit for bit,
+    signed zeros included: the gasket seed, and so every gasket byte, comes
+    from them."""
+
+    @given(tangent_triples(), st.floats(-1e3, 1e3))
+    def test_tangent_triples(self, triple, curvature):
+        assert outcome(solve_fourth_disk, *triple) == outcome(reference_solve_fourth_disk, *triple)
+        args = (triple[0], triple[1], curvature)
+        assert outcome(tangent_disk_with_curvature, *args) == outcome(
+            reference_tangent_disk_with_curvature, *args
+        )
+
+    @given(raw_vector, raw_vector, raw_vector, st.sampled_from([0.0, -0.0, 1.0, -3.0, 2.5]))
+    def test_raw_vectors(self, c1, c2, c3, curvature):
+        # a huge tol lets non-tangent triples reach the root computation
+        assert outcome(solve_fourth_disk, c1, c2, c3, 1e300) == outcome(
+            reference_solve_fourth_disk, c1, c2, c3, 1e300
+        )
+        assert outcome(tangent_disk_with_curvature, c1, c2, curvature) == outcome(
+            reference_tangent_disk_with_curvature, c1, c2, curvature
+        )
 
 
 class TestSolveFourthDisk:

@@ -18,6 +18,7 @@ from diskgeom import (
     NotSpacelike,
     SingularMatrix,
     ZeroRadius,
+    canonical_simplex_config,
     gramian,
     inner,
     inner_geometric,
@@ -264,6 +265,27 @@ class TestGramian:
         with pytest.raises(ValueError):
             gramian([CircleVector(0, 0, 1, -1)] * 3)
 
+    @staticmethod
+    def check_against_inner(vectors):
+        """Exactly symmetric, and each entry equals the pairwise inner()
+        within the README error model: both round at eps * max(1, |c|^2/r^2)."""
+        f = gramian(vectors)
+        assert np.array_equal(f, f.T)
+        pairwise = np.array([[inner(u, v) for v in vectors] for u in vectors])
+        scale = max(
+            1.0, max(sum(c * c for c in v.coords) + abs(v.beta * v.gamma) for v in vectors)
+        )
+        assert np.all(np.abs(f - pairwise) <= 16.0 * EPS * scale)
+
+    @given(st.lists(circles(max_center=100.0, max_radius=10.0), min_size=4, max_size=4))
+    def test_planar_matches_pairwise_inner(self, disks):
+        self.check_against_inner([lift(d) for d in disks])
+
+    @pytest.mark.parametrize("outer", [False, True])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_simplex_matches_pairwise_inner(self, n, outer):
+        self.check_against_inner([lift_sphere(s) for s in canonical_simplex_config(n, outer)])
+
 
 class TestInvert4:
     def test_identity(self):
@@ -287,6 +309,19 @@ class TestInvert4:
     def test_zero_matrix(self):
         with pytest.raises(SingularMatrix):
             invert_matrix(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_named(self, bad):
+        m = np.eye(4)
+        m[2, 1] = bad
+        with pytest.raises(SingularMatrix, match=rf"non-finite entry {bad!r} at \(2, 1\)"):
+            invert_matrix(m)
+
+    def test_huge_entries_do_not_overflow_the_gate(self):
+        # scale**4 overflows a double; the gate must still decide
+        assert np.allclose(invert_matrix(1e300 * np.eye(4)), 1e-300 * np.eye(4), rtol=1e-15, atol=0)
+        with pytest.raises(SingularMatrix):
+            invert_matrix(np.full((4, 4), 1e300))
 
     def test_product_is_identity(self):
         rng = np.random.default_rng(11)

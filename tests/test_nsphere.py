@@ -41,6 +41,14 @@ class TestMetric:
             minkowski_metric(n) @ minkowski_metric_inv(n), np.eye(n + 2)
         )
 
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_cached_and_read_only(self, n):
+        # one shared array per n, so a caller must not be able to change it
+        for metric in (minkowski_metric, minkowski_metric_inv):
+            assert metric(n) is metric(n)
+            with pytest.raises(ValueError):
+                metric(n)[0, 0] = 1.0
+
     def test_low_dimension_rejected(self):
         with pytest.raises(BadDimension):
             minkowski_metric(1)
