@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -349,9 +348,7 @@ def cmd_project(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built on first use and reused by every main() call."""
     parser = argparse.ArgumentParser(
         prog="diskgeom",
         description="Tangent-disk geometry: verify configurations, solve tangency "

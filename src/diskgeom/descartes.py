@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     ComplexRoots,
     DegenerateTriple,

@@ -197,10 +197,13 @@ def _lifted_rows(vectors: Sequence) -> np.ndarray:
 def _gramian_of_rows(rows: np.ndarray) -> np.ndarray:
     n = len(rows) - 2
     coords, beta, gamma = rows[:, :n], rows[:, n], rows[:, n + 1]
-    bg = np.multiply.outer(beta, gamma)
-    # bg + bg.T adds the same two products in either order, and numpy forms
-    # a @ a.T as one symmetric rank-k update, so f is exactly symmetric
-    return 0.5 * (bg + bg.T) - coords @ coords.T
+    # huge finite inputs may overflow to inf or nan here; invert_matrix
+    # rejects a non-finite Gramian, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        bg = np.multiply.outer(beta, gamma)
+        # bg + bg.T adds the same two products in either order, and numpy forms
+        # a @ a.T as one symmetric rank-k update, so f is exactly symmetric
+        return 0.5 * (bg + bg.T) - coords @ coords.T
 
 
 def gramian(vectors: Sequence) -> np.ndarray:
@@ -249,7 +252,8 @@ def configuration_identity(vectors: Sequence) -> tuple[np.ndarray, np.ndarray, f
     rows = _lifted_rows(vectors)
     f = _gramian_of_rows(rows)
     finv = invert_matrix(f)
-    resid = rows.T @ finv @ rows - minkowski_metric_inv(len(f) - 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as an inf/nan residual
+        resid = rows.T @ finv @ rows - minkowski_metric_inv(len(f) - 2)
     return f, finv, float(np.abs(resid).max())
 
 
