@@ -17,27 +17,23 @@ from .descartes import (
     worst_tangency,
 )
 from .errors import (
-    BadDimension,
     ComplexRoots,
     DegenerateTriple,
     DiskGeomError,
-    EmptyGasket,
-    InvalidIndex,
     InvalidSeed,
-    NonUnitNormal,
     NotNormalized,
     NotSpacelike,
     NotTangent,
     SingularMatrix,
-    ZeroRadius,
 )
 from .gasket import (
+    CHUNK_ROWS,
     GasketDisks,
     GenerationLimits,
     RenderStyle,
     canonical_quadruple,
     generate,
-    render_svg,
+    svg_chunks,
 )
 from .minkowski import (
     Circle,
@@ -49,7 +45,7 @@ from .minkowski import (
     lift,
     project,
 )
-from .nsphere import NSphere, lift_sphere
+from .nsphere import NSphere, lift_sphere, soddy_gosset_residual
 
 SCHEMA_VERSION = 1
 
@@ -67,6 +63,10 @@ _NORMAL_DOC_TOL = 1e-9
 
 class DocumentError(ValueError):
     """Malformed input document or arguments; maps to exit code 2."""
+
+
+class NonFiniteOutput(DiskGeomError):
+    """A report value overflowed to inf or nan; maps to exit code 3."""
 
 
 def fmt_float(x: float) -> str:
@@ -176,7 +176,13 @@ def _print_matrix(name: str, m: np.ndarray) -> None:
 
 
 def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:  # JSON has no inf or nan, so name the first field holding one
+        shown = {k: json.dumps(v) for k, v in obj.items()}
+        key = next(k for k, dumped in shown.items() if "Infinity" in dumped or "NaN" in dumped)
+        raise NonFiniteOutput(f"{key} holds a non-finite value: {obj[key]!r}") from None
+    print(text)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -246,21 +252,22 @@ def _parse_seed(text: str) -> list[float]:
 
 
 def _write_gasket_csv(path: str, disks: GasketDisks) -> None:
-    vectors = disks.vectors
-    beta = vectors[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # + 0.0 flushes negative zeros out of the output
-        xs = (vectors[:, 0] / beta + 0.0).tolist()
-        ys = (vectors[:, 1] / beta + 0.0).tolist()
-    for k in np.flatnonzero(beta == 0.0).tolist():
-        # boundary anchor point of the halfplane
-        nx, ny, offset = halfplane_geometry(CircleVector(*vectors[k].tolist()))
-        xs[k], ys[k] = nx * offset, ny * offset
-    # every field is an int or a float repr, so no field ever needs CSV quoting
-    rows = zip(disks.depths.tolist(), beta.tolist(), xs, ys)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("depth,curvature,x,y\n")
-        fh.write("".join(f"{d},{b!r},{x!r},{y!r}\n" for d, b, x, y in rows))
+        for lo in range(0, len(disks), CHUNK_ROWS):
+            vectors = disks.vectors[lo : lo + CHUNK_ROWS]
+            beta = vectors[:, 2]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # + 0.0 flushes negative zeros out of the output
+                xs = (vectors[:, 0] / beta + 0.0).tolist()
+                ys = (vectors[:, 1] / beta + 0.0).tolist()
+            for k in np.flatnonzero(beta == 0.0).tolist():
+                # boundary anchor point of the halfplane
+                nx, ny, offset = halfplane_geometry(CircleVector(*vectors[k].tolist()))
+                xs[k], ys[k] = nx * offset, ny * offset
+            # every field is an int or a float repr, so no field ever needs CSV quoting
+            rows = zip(disks.depths[lo : lo + CHUNK_ROWS].tolist(), beta.tolist(), xs, ys)
+            fh.write("".join(f"{d},{b!r},{x!r},{y!r}\n" for d, b, x, y in rows))
 
 
 def cmd_gasket(args: argparse.Namespace) -> int:
@@ -285,9 +292,9 @@ def cmd_gasket(args: argparse.Namespace) -> int:
     if args.csv:
         _write_gasket_csv(args.csv, result.disks)
     if args.svg:
-        svg = render_svg(result, RenderStyle(fill_by_depth=args.fill_by_depth))
+        chunks = svg_chunks(result, RenderStyle(fill_by_depth=args.fill_by_depth))
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+            fh.writelines(chunks)
     beta = result.disks.vectors[:, 2]
     radii = np.abs(1.0 / beta[beta != 0.0])
     print(f"disks: {len(result.disks)}")
@@ -305,8 +312,7 @@ def cmd_soddy(args: argparse.Namespace) -> int:
         )
     if not all(math.isfinite(b) for b in args.curvatures):
         raise DocumentError("curvatures must be finite")
-    s = sum(args.curvatures)
-    residual = s * s - args.dim * sum(b * b for b in args.curvatures)
+    residual = soddy_gosset_residual(args.curvatures, args.dim)
     scale = sum(abs(b) for b in args.curvatures) ** 2
     passed = abs(residual) <= args.tol * scale
     print(f"residual = {residual!r}")
@@ -321,10 +327,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
     if args.kind == "circle":
         disk: Disk = Circle((a, b), c)
     else:
-        norm = math.hypot(a, b)
-        if abs(norm - 1.0) > _NORMAL_DOC_TOL:
-            raise DocumentError(f"halfplane normal must be unit length, |n| = {norm!r}")
-        disk = Halfplane((a / norm, b / norm), c / norm)
+        disk = _parse_halfplane({"normal": [a, b], "offset": c}, "halfplane")
     v = lift(disk)
     if args.json:
         _emit_json({"schema_version": SCHEMA_VERSION, "vector": list(v)})
@@ -408,19 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every other error, such as ZeroRadius or EmptyGasket, exits EXIT_PARSE
 _ERROR_CODES: list[tuple[type, int]] = [
     (SingularMatrix, EXIT_DEGENERATE_CONFIG),
+    (NonFiniteOutput, EXIT_DEGENERATE_CONFIG),
     (NotTangent, EXIT_NOT_TANGENT),
     (DegenerateTriple, EXIT_DEGENERATE_TRIPLE),
     (ComplexRoots, EXIT_INVALID_SEED),
     (InvalidSeed, EXIT_INVALID_SEED),
     (NotNormalized, EXIT_NOT_NORMALIZED),
     (NotSpacelike, EXIT_NOT_NORMALIZED),
-    (ZeroRadius, EXIT_PARSE),
-    (NonUnitNormal, EXIT_PARSE),
-    (BadDimension, EXIT_PARSE),
-    (InvalidIndex, EXIT_PARSE),
-    (EmptyGasket, EXIT_PARSE),
 ]
 
 
@@ -443,16 +443,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
         return args.func(args)
-    except DocumentError as exc:
+    except (DocumentError, DiskGeomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DiskGeomError as exc:
-        for err_type, code in _ERROR_CODES:
-            if isinstance(exc, err_type):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        codes = (code for err_type, code in _ERROR_CODES if isinstance(exc, err_type))
+        return next(codes, EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .errors import (
     NotNormalized,
     NotTangent,
 )
-from .minkowski import MINKOWSKI_METRIC, CircleVector, inner, normalize
+from .minkowski import CircleVector, inner, normalize
 
 _RANK_TOL = 1e-10
 _PAIRS_TOL = 1e-12
@@ -181,8 +181,8 @@ def _roots_on_line(point: list[float], direction: list[float]) -> tuple[CircleVe
 
 
 def _tangency_row(v: CircleVector) -> list[float]:
-    """Coefficients of x -> <v, x>, the row MINKOWSKI_METRIC @ v."""
-    return (MINKOWSKI_METRIC @ v.as_array()).tolist()
+    """Coefficients of x -> <v, x>, the row MINKOWSKI_METRIC @ v with its signed zeros."""
+    return [0.0 - v.xdot, 0.0 - v.ydot, 0.5 * v.gamma + 0.0, 0.5 * v.beta + 0.0]
 
 
 def solve_fourth_disk(

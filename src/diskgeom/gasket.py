@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import colorsys
 import functools
-from collections.abc import Iterable, Sequence
+import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .errors import ComplexRoots, DiskGeomError, EmptyGasket, InvalidSeed
 from .minkowski import Circle, CircleVector, Halfplane, halfplane_geometry, lift
 
 SPECTRUM_QUANTUM = 1e-7
+# rows that the SVG and CSV writers turn into text at a time, bounding their memory
+CHUNK_ROWS = 4096
 
 # the slots that stay fixed when slot i is reflected, ascending
 _OTHERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -164,49 +167,54 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
         seed.validate()
     except DiskGeomError as exc:
         raise InvalidSeed(str(exc)) from exc
-    frontier = np.array([[tuple(v) for v in seed.vectors]], dtype=float)  # (Q,4,4)
-    members = np.arange(4)[None, :]  # disk index of each frontier slot
+    if limits.max_depth is None and limits.max_count is None and 0.0 in seed.curvatures:
+        raise InvalidSeed(
+            f"seed vector {seed.curvatures.index(0.0)} is a halfplane, so a curvature limit "
+            "alone never ends the growth; set a depth or count limit"
+        )
+    # (N,4) vectors of the n disks so far; rows past n are spare capacity
+    store = np.array([tuple(v) for v in seed.vectors], dtype=float)
+    members = np.arange(4)[None, :]  # (Q,4) disk index of each frontier slot
     born = np.array([-1])  # the slot that created each frontier quadruple
-    # per level: the new disks' vectors, depths and parent quadruple ids,
-    # and the members of the quadruples they complete
-    vectors, depths, parents = [frontier[0]], [np.zeros(4, np.intp)], [np.zeros(4, np.intp)]
-    member_rows = [members]
+    # per level: the new disks' depths and parent quadruple ids, and the
+    # members of the quadruples they complete
+    depths, parents, member_rows = [np.zeros(4, np.intp)], [np.zeros(4, np.intp)], [members]
     n, first, depth = 4, 0, 0  # disks so far, id of the first frontier quadruple, its depth
     while (
-        len(frontier)
+        len(members)
         and (limits.max_depth is None or depth < limits.max_depth)
         and (limits.max_count is None or n < limits.max_count)
     ):
-        reflected = np.empty_like(frontier)
-        for i, (a, b, c) in enumerate(_OTHERS):
-            # vieta_reflect's order of operations, so the values match it bit for bit;
-            # a generator-matrix product rounds differently
-            others = frontier[:, a] + frontier[:, b] + frontier[:, c]
-            reflected[:, i] = 2.0 * others - frontier[:, i]
         keep = born[:, None] != np.arange(4)
         if limits.max_curvature is not None:
-            keep &= ~(reflected[:, :, 2] > limits.max_curvature)
+            beta = store[:, 2][members]
+            for i, (a, b, c) in enumerate(_OTHERS):
+                child = 2.0 * (beta[:, a] + beta[:, b] + beta[:, c]) - beta[:, i]
+                keep[:, i] &= ~(child > limits.max_curvature)
         parent, born = np.nonzero(keep)
         if limits.max_count is not None:
             parent, born = parent[: limits.max_count - n], born[: limits.max_count - n]
         rows = np.arange(len(parent))
-        new = reflected[parent, born]
-        frontier = frontier[parent]
-        frontier[rows, born] = new
         members = members[parent]
+        if n + len(rows) > len(store):  # at least doubling keeps deep, narrow runs linear
+            store = np.concatenate((store[:n], np.empty((max(n, len(rows)), 4))))
+        # vieta_reflect's order of operations, so the values match it bit for bit;
+        # the k-th fixed slot of a child is k + (born <= k), ascending as in _OTHERS
+        a, b, c = (members[rows, k + (born <= k)] for k in range(3))
+        # one expression, so numpy reuses its temporaries in place (a lower peak)
+        store[n : n + len(rows)] = 2.0 * (store[a] + store[b] + store[c]) - store[members[rows, born]]
         members[rows, born] = n + rows
         depth += 1
-        vectors.append(new)
         depths.append(np.full(len(parent), depth, np.intp))
         parents.append(first + parent)
         member_rows.append(members)
         first += len(keep)
         n += len(parent)
-    all_vectors = np.concatenate(vectors)
-    disks = GasketDisks(all_vectors, np.concatenate(depths), np.concatenate(parents))
-    quadruples = GasketQuadruples(np.concatenate(member_rows), all_vectors)
-    # quadruple k >= 1 is the one that added disk k + 3
-    quadruple_depths = QuadrupleDepths(np.concatenate([[0], disks.depths[4:]]))
+    store = store[:n].copy() if len(store) > n else store
+    disks = GasketDisks(store, np.concatenate(depths), np.concatenate(parents))
+    quadruples = GasketQuadruples(np.concatenate(member_rows), store)
+    # quadruple k >= 1 is the one that added disk k + 3, and disk 3 is a depth-0 seed disk
+    quadruple_depths = QuadrupleDepths(disks.depths[3:])
     return Gasket(seed, limits, disks, quadruples, quadruple_depths)
 
 
@@ -289,6 +297,14 @@ def render_svg(g: Gasket, style: RenderStyle | None = None) -> str:
     bounding box of all circles, with a 2% margin.  Disks of negative
     curvature are drawn as unfilled outlines.
     """
+    return "".join(svg_chunks(g, style))
+
+
+def svg_chunks(g: Gasket, style: RenderStyle | None = None) -> Iterator[str]:
+    """render_svg's document as pieces of at most CHUNK_ROWS circle elements each.
+
+    EmptyGasket is raised by this call, before the first piece is taken.
+    """
     if not g.disks:
         raise EmptyGasket("no disks to render")
     style = style or RenderStyle()
@@ -317,28 +333,32 @@ def render_svg(g: Gasket, style: RenderStyle | None = None) -> str:
     width = xmax + margin - xmin
     height = ymax + margin - ymin
     sw = style.stroke_width if style.stroke_width is not None else 0.005 * max(width, height)
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    head = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{xmin!r} {ymin!r} {width!r} {height!r}">',
+        f'viewBox="{xmin!r} {ymin!r} {width!r} {height!r}">\n',
     ]
     reach = width + height
     for nx, ny, offset in lines:
         ax, ay = nx * offset, ny * offset
         dx, dy = -ny, nx
-        parts.append(
+        head.append(
             f'<line x1="{ax - reach * dx!r}" y1="{ay - reach * dy!r}" '
             f'x2="{ax + reach * dx!r}" y2="{ay + reach * dy!r}" '
-            f'stroke="{style.stroke}" stroke-width="{sw!r}"/>'
+            f'stroke="{style.stroke}" stroke-width="{sw!r}"/>\n'
         )
-    fills = [
-        "none" if o else _depth_fill(d) if style.fill_by_depth else style.fill
-        for o, d in zip(outline.tolist(), g.disks.depths[~on_line].tolist())
-    ]
-    tail = f'" stroke="{style.stroke}" stroke-width="{sw!r}"/>'
-    parts.extend(
-        f'<circle cx="{x!r}" cy="{y!r}" r="{rr!r}" fill="{fill}{tail}'
-        for x, y, rr, fill in zip(cx.tolist(), cy.tolist(), r.tolist(), fills)
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    depths = g.disks.depths[~on_line]
+    tail = f'" stroke="{style.stroke}" stroke-width="{sw!r}"/>\n'
+
+    def circles(lo: int) -> str:
+        rows = slice(lo, lo + CHUNK_ROWS)
+        fills = (
+            "none" if o else _depth_fill(d) if style.fill_by_depth else style.fill
+            for o, d in zip(outline[rows].tolist(), depths[rows].tolist())
+        )
+        return "".join(
+            f'<circle cx="{x!r}" cy="{y!r}" r="{rr!r}" fill="{fill}{tail}'
+            for x, y, rr, fill in zip(cx[rows].tolist(), cy[rows].tolist(), r[rows].tolist(), fills)
+        )
+
+    return itertools.chain(head, map(circles, range(0, len(r), CHUNK_ROWS)), ["</svg>\n"])

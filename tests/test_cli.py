@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from diskgeom import Gasket, GenerationLimits, canonical_quadruple, generate, render_svg
+from diskgeom import cli
 from diskgeom.cli import main
+from diskgeom.gasket import CHUNK_ROWS, svg_chunks
 
 QUAD_DOC = {
     "disks": [
@@ -225,6 +229,21 @@ class TestGasket:
     def test_descartes_violation(self):
         assert main(["gasket", "--seed", "1,1,1,5", "--depth", "1"]) == 6
 
+    def test_halfplane_seed_with_only_a_curvature_limit(self, capsys):
+        assert main(["gasket", "--seed", "0,1,2", "--max-curvature", "10"]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed vector 0 is a halfplane") and err.count("\n") == 1
+
+    def test_empty_gasket_rejected_before_svg_is_opened(self, tmp_path, monkeypatch, capsys):
+        def empty(seed, limits):
+            return Gasket(seed, limits, (), (seed,), (0,))
+
+        monkeypatch.setattr(cli, "generate", empty)
+        svg_path = tmp_path / "out.svg"
+        assert main(["gasket", "--seed", "-1,2,2,3", "--depth", "1", "--svg", str(svg_path)]) == 2
+        assert "no disks" in capsys.readouterr().err
+        assert not svg_path.exists()
+
     def test_missing_limits(self, capsys):
         code = main(["gasket", "--seed", "-1,2,2,3"])
         assert code == 2
@@ -290,6 +309,21 @@ class TestLiftProject:
         # x^2 overflows, so gamma is inf; formatting it must not raise
         assert main(["lift", "circle", "1e200", "0", "1"]) == 0
         assert capsys.readouterr().out == "1e+200 0 1 inf\n"
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["lift", "circle", "1e200", "0", "1"], "vector"),
+            (["project", "1", "0", "1e-320", "0"], "center"),
+        ],
+    )
+    def test_json_overflow_is_an_error(self, argv, field, capsys):
+        # JSON has no inf or nan, so the report is refused rather than printed
+        assert main([*argv, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} holds a non-finite value: [")
+        assert captured.err.count("\n") == 1
 
     def test_project_circle(self, capsys):
         assert main(["project", "0", "0", "1", "-1"]) == 0
@@ -405,3 +439,41 @@ def test_gasket_limits_golden(flags, tmp_path, capsys):
     assert f"disks: {count}\n" in capsys.readouterr().out
     digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, svg_path)]
     assert digests == want
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_DEPTH_8))
+def test_svg_chunks_join_to_render_svg(seed):
+    seed_quad = canonical_quadruple([float(k) for k in seed.split(",")])
+    g = generate(seed_quad, GenerationLimits(max_depth=8))
+    chunks = list(svg_chunks(g))
+    assert "".join(chunks) == render_svg(g)
+    assert max(chunk.count("<circle ") for chunk in chunks) <= CHUNK_ROWS
+
+
+@pytest.fixture(scope="module")
+def depth_10_gasket():
+    return generate(canonical_quadruple((-1.0, 2.0, 2.0, 3.0)), GenerationLimits(max_depth=10))
+
+
+def traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# the writers format a bounded number of rows at a time, so their memory does
+# not grow with the 118,100 disks (whole-document writers peaked at 28 and 61 MB)
+def test_csv_writer_memory_is_bounded(depth_10_gasket, tmp_path):
+    path = str(tmp_path / "out.csv")
+    assert traced_peak_mb(lambda: cli._write_gasket_csv(path, depth_10_gasket.disks)) <= 12.0
+
+
+def test_svg_writer_memory_is_bounded(depth_10_gasket, tmp_path):
+    def write():
+        with open(tmp_path / "out.svg", "w", encoding="utf-8") as fh:
+            fh.writelines(svg_chunks(depth_10_gasket))
+
+    assert traced_peak_mb(write) <= 12.0

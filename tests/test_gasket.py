@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import deque
 
@@ -256,6 +257,20 @@ class TestGenerate:
         for ours, theirs in zip(g.quadruples, quads):
             assert bits(ours.vectors) == bits(theirs.vectors)
 
+    @pytest.mark.parametrize("curvatures", [(0.0, 1.0, 2.0), (0.0, 0.0, 1.0, 1.0)])
+    def test_halfplane_seed_needs_depth_or_count(self, curvatures):
+        # a halfplane seed has infinitely many disks below any curvature cap
+        seed = canonical_quadruple(curvatures)
+        with pytest.raises(InvalidSeed, match="halfplane.*depth or count"):
+            generate(seed, GenerationLimits(max_curvature=10.0))
+        assert len(generate(seed, GenerationLimits(max_depth=4, max_curvature=10.0)).disks) > 4
+        assert len(generate(seed, GenerationLimits(max_curvature=10.0, max_count=50)).disks) == 50
+
+    @pytest.mark.parametrize("curvatures, count", [(SEED_CURVATURES, 9), ((0.7, 1.3, 2.9), 45)])
+    def test_bounded_seed_stops_at_curvature_cap(self, curvatures, count):
+        g = generate(canonical_quadruple(curvatures), GenerationLimits(max_curvature=10.0))
+        assert len(g.disks) == count
+
     def test_limits_must_be_finite(self):
         with pytest.raises(ValueError):
             GenerationLimits()
@@ -263,6 +278,60 @@ class TestGenerate:
             GenerationLimits(max_depth=-1)
         with pytest.raises(ValueError):
             GenerationLimits(max_count=2)
+
+
+class TestOracles:
+    """Checks against facts about Apollonian packings, not against recorded output."""
+
+    # circles of curvature <= T in the (-1, 2, 2, 3) packing
+    COUNTS = {1e3: 3329, 3e3: 13965, 1e4: 67167, 3e4: 281991}
+    # Hausdorff dimension of the gasket (McMullen 1998): the count grows as c * T^delta
+    DELTA = 1.305688
+
+    @pytest.fixture(scope="class")
+    def capped(self):
+        seed = canonical_quadruple(SEED_CURVATURES)
+        return {t: generate(seed, GenerationLimits(max_curvature=t)) for t in self.COUNTS}
+
+    def test_curvature_count_grows_with_hausdorff_dimension(self, capped):
+        counts = {t: len(g.disks) for t, g in capped.items()}
+        assert counts == self.COUNTS
+        slope = np.polyfit(np.log(list(counts)), np.log(list(counts.values())), 1)[0]
+        assert abs(slope - self.DELTA) < 0.003
+
+    def test_strong_integrality(self, capped):
+        # every lifted component of the root packing is an integer (Graham et al.,
+        # math/0009113), so the Minkowski products hold exactly, not within a tolerance
+        v = capped[3e4].disks.vectors
+        assert np.array_equal(v, np.round(v))
+        assert np.abs(v).max() < 2.0**53
+        x, y, b, g = v.T
+        assert np.all(b * g - x * x - y * y == -1.0)
+        g = capped[1e4]
+        quads = g.disks.vectors[g.quadruples.members]  # (M, 4, 4)
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            u, w = quads[:, i], quads[:, j]
+            dot = u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1]
+            twice = u[:, 2] * w[:, 3] + w[:, 2] * u[:, 3] - 2.0 * dot
+            assert np.all(twice == 2.0)
+
+    @pytest.mark.parametrize(
+        "curvatures, limits",
+        [
+            (SEED_CURVATURES, GenerationLimits(max_curvature=2000.0)),
+            ((0.7, 1.3, 2.9), GenerationLimits(max_curvature=2000.0)),
+            ((0.0, 0.0, 1.0, 1.0), GenerationLimits(max_depth=7)),
+        ],
+    )
+    def test_count_cut_is_a_prefix_of_the_uncut_run(self, curvatures, limits):
+        seed = canonical_quadruple(curvatures)
+        full = generate(seed, limits).disks
+        for k in (4, 5, 17, 1000, 7777):
+            cut = generate(seed, dataclasses.replace(limits, max_count=k)).disks
+            assert len(cut) == min(k, len(full))
+            assert cut.vectors.tobytes() == full.vectors[:k].tobytes()
+            assert np.array_equal(cut.depths, full.depths[:k])
+            assert np.array_equal(cut.quadruple_ids, full.quadruple_ids[:k])
 
 
 class TestCurvatureSpectrum:
