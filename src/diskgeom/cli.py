@@ -5,8 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -96,12 +97,15 @@ def _point(value: Any, what: str, length: int) -> tuple[float, ...]:
     return tuple(_number(v, what) for v in value)
 
 
-def _parse_circle(entry: dict, label: str) -> Circle:
-    center = _point(entry.get("center"), f"{label} center", 2)
+def _radius(entry: dict, label: str) -> float:
     radius = _number(entry.get("radius"), f"{label} radius")
     if radius == 0.0:
         raise DocumentError(f"{label} radius must be nonzero")
-    return Circle(center, radius)
+    return radius
+
+
+def _parse_circle(entry: dict, label: str) -> Circle:
+    return Circle(_point(entry.get("center"), f"{label} center", 2), _radius(entry, label))
 
 
 def _parse_halfplane(entry: dict, label: str) -> Halfplane:
@@ -114,13 +118,7 @@ def _parse_halfplane(entry: dict, label: str) -> Halfplane:
 
 
 def _parse_sphere(entry: dict, label: str, dim: int) -> NSphere:
-    center = entry.get("center")
-    if not isinstance(center, list) or len(center) != dim:
-        raise DocumentError(f"{label} center must be an array of {dim} numbers")
-    radius = _number(entry.get("radius"), f"{label} radius")
-    if radius == 0.0:
-        raise DocumentError(f"{label} radius must be nonzero")
-    return NSphere(tuple(_number(v, f"{label} center") for v in center), radius)
+    return NSphere(_point(entry.get("center"), f"{label} center", dim), _radius(entry, label))
 
 
 def load_document(path: str) -> tuple[str, Any]:
@@ -251,23 +249,59 @@ def _parse_seed(text: str) -> list[float]:
     return values
 
 
-def _write_gasket_csv(path: str, disks: GasketDisks) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("depth,curvature,x,y\n")
-        for lo in range(0, len(disks), CHUNK_ROWS):
-            vectors = disks.vectors[lo : lo + CHUNK_ROWS]
-            beta = vectors[:, 2]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # + 0.0 flushes negative zeros out of the output
-                xs = (vectors[:, 0] / beta + 0.0).tolist()
-                ys = (vectors[:, 1] / beta + 0.0).tolist()
-            for k in np.flatnonzero(beta == 0.0).tolist():
-                # boundary anchor point of the halfplane
-                nx, ny, offset = halfplane_geometry(CircleVector(*vectors[k].tolist()))
-                xs[k], ys[k] = nx * offset, ny * offset
-            # every field is an int or a float repr, so no field ever needs CSV quoting
-            rows = zip(disks.depths[lo : lo + CHUNK_ROWS].tolist(), beta.tolist(), xs, ys)
-            fh.write("".join(f"{d},{b!r},{x!r},{y!r}\n" for d, b, x, y in rows))
+def _csv_chunks(disks: GasketDisks) -> Iterator[str]:
+    """The gasket CSV in pieces of at most CHUNK_ROWS rows each."""
+    yield "depth,curvature,x,y\n"
+    for lo in range(0, len(disks), CHUNK_ROWS):
+        vectors = disks.vectors[lo : lo + CHUNK_ROWS]
+        beta = vectors[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # + 0.0 flushes negative zeros out of the output
+            xs = (vectors[:, 0] / beta + 0.0).tolist()
+            ys = (vectors[:, 1] / beta + 0.0).tolist()
+        for k in np.flatnonzero(beta == 0.0).tolist():
+            # boundary anchor point of the halfplane
+            nx, ny, offset = halfplane_geometry(CircleVector(*vectors[k].tolist()))
+            xs[k], ys[k] = nx * offset, ny * offset
+        # every field is an int or a float repr, so no field ever needs CSV quoting
+        rows = zip(disks.depths[lo : lo + CHUNK_ROWS].tolist(), beta.tolist(), xs, ys)
+        yield "".join(f"{d},{b!r},{x!r},{y!r}\n" for d, b, x, y in rows)
+
+
+def _open_output(path: str, newline: str | None = None) -> TextIO:
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_output(fh: TextIO, pieces: Iterable[str]) -> None:
+    """Write the pieces and close fh; an OSError, from the last flush too, names the file."""
+    try:
+        with fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {fh.name}: {exc}") from exc
+
+
+def _write_in_child(fh: TextIO, pieces: Iterable[str]) -> int:
+    """Fork a process that writes the pieces to fh, and return its pid for waitpid.
+
+    The child leaves only through os._exit, so it never returns into main,
+    never flushes the stdout buffer it inherited and never runs the caller's
+    cleanup.  fh must hold no buffered text when this is called.
+    """
+    pid = os.fork()
+    if pid == 0:
+        code = EXIT_PARSE
+        try:
+            _write_output(fh, pieces)
+            code = EXIT_OK
+        except Exception as exc:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        finally:
+            os._exit(code)
+    return pid
 
 
 def cmd_gasket(args: argparse.Namespace) -> int:
@@ -289,12 +323,23 @@ def cmd_gasket(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     result = generate(quad, limits)
-    if args.csv:
-        _write_gasket_csv(args.csv, result.disks)
-    if args.svg:
-        chunks = svg_chunks(result, RenderStyle(fill_by_depth=args.fill_by_depth))
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+    # svg_chunks does its array work, and raises EmptyGasket, before a file is opened
+    svg = svg_chunks(result, RenderStyle(fill_by_depth=args.fill_by_depth)) if args.svg else None
+    if args.csv and args.svg and hasattr(os, "fork"):
+        # both writers are bound by float formatting, so the SVG takes the second core
+        with _open_output(args.csv, newline="") as csv_fh, _open_output(args.svg) as svg_fh:
+            pid = _write_in_child(svg_fh, svg)
+            try:
+                _write_output(csv_fh, _csv_chunks(result.disks))
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            raise DocumentError(f"cannot write {args.svg}: writer process exited with status {code}")
+    else:
+        if args.csv:
+            _write_output(_open_output(args.csv, newline=""), _csv_chunks(result.disks))
+        if args.svg:
+            _write_output(_open_output(args.svg), svg)
     beta = result.disks.vectors[:, 2]
     radii = np.abs(1.0 / beta[beta != 0.0])
     print(f"disks: {len(result.disks)}")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 
 import pytest
@@ -244,6 +245,39 @@ class TestGasket:
         assert "no disks" in capsys.readouterr().err
         assert not svg_path.exists()
 
+    @pytest.mark.parametrize("both", [False, True], ids=["alone", "both"])
+    @pytest.mark.parametrize("flag", ["--csv", "--svg"])
+    def test_missing_output_directory(self, flag, both, tmp_path, capsys):
+        bad = str(tmp_path / "missing" / "out")
+        args = ["gasket", "--seed", "-1,2,2,3", "--depth", "1", flag, bad]
+        if both:
+            args += ["--svg" if flag == "--csv" else "--csv", str(tmp_path / "other")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {bad}: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_svg_writer_failure_reaches_exit_code(self, tmp_path, capfd):
+        csv_path = tmp_path / "out.csv"
+        args = ["gasket", "--seed", "-1,2,2,3", "--depth", "3", "--csv", str(csv_path), "--svg", "/dev/full"]
+        assert main(args) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write /dev/full: ")
+        assert "No space left on device" in err
+        assert csv_path.read_text().count("\n") == 1 + 56
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_writer_leaves_no_output_or_zombie(self, tmp_path, capfd):
+        args = ["gasket", "--seed", "-1,2,2,3", "--depth", "3"]
+        args += ["--csv", str(tmp_path / "out.csv"), "--svg", str(tmp_path / "out.svg")]
+        for _ in range(2):
+            assert main(args) == 0
+            out, err = capfd.readouterr()
+            assert out.count("disks:") == 1 and err == ""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_missing_limits(self, capsys):
         code = main(["gasket", "--seed", "-1,2,2,3"])
         assert code == 2
@@ -441,6 +475,18 @@ def test_gasket_limits_golden(flags, tmp_path, capsys):
     assert digests == want
 
 
+# with both outputs the SVG is written by a forked child where os.fork exists,
+# and the goldens above pin those bytes; this pins the in-process writes of a
+# single output against the same digests
+@pytest.mark.parametrize("flags", sorted(GOLDEN_LIMITS))
+def test_gasket_outputs_alone_match_golden(flags, tmp_path, capsys):
+    _, *want = GOLDEN_LIMITS[flags]
+    for key, digest in zip(("csv", "svg"), want):
+        path = tmp_path / f"out.{key}"
+        assert main(["gasket", "--seed", *flags.split(), f"--{key}", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("seed", sorted(GOLDEN_DEPTH_8))
 def test_svg_chunks_join_to_render_svg(seed):
     seed_quad = canonical_quadruple([float(k) for k in seed.split(",")])
@@ -467,8 +513,11 @@ def traced_peak_mb(fn) -> float:
 # the writers format a bounded number of rows at a time, so their memory does
 # not grow with the 118,100 disks (whole-document writers peaked at 28 and 61 MB)
 def test_csv_writer_memory_is_bounded(depth_10_gasket, tmp_path):
-    path = str(tmp_path / "out.csv")
-    assert traced_peak_mb(lambda: cli._write_gasket_csv(path, depth_10_gasket.disks)) <= 12.0
+    def write():
+        with open(tmp_path / "out.csv", "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(cli._csv_chunks(depth_10_gasket.disks))
+
+    assert traced_peak_mb(write) <= 12.0
 
 
 def test_svg_writer_memory_is_bounded(depth_10_gasket, tmp_path):
