@@ -11,6 +11,8 @@ from __future__ import annotations
 import colorsys
 import functools
 import itertools
+import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -44,6 +46,12 @@ class GenerationLimits:
     def __post_init__(self) -> None:
         if self.max_depth is None and self.max_curvature is None and self.max_count is None:
             raise ValueError("at least one generation limit must be set")
+        for name in ("max_depth", "max_count"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not hasattr(type(value), "__index__")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # kept as a Python int, so the store sizes computed from it cannot wrap around
+            object.__setattr__(self, name, None if value is None else operator.index(value))
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth!r}")
         if self.max_curvature is not None and not self.max_curvature > 0.0:
@@ -153,6 +161,19 @@ class Gasket:
             object.__setattr__(self, "disks", GasketDisks.from_disks(self.disks))
 
 
+def _stores(size: int, old: Sequence[np.ndarray] = (), n: int = 0) -> list[np.ndarray]:
+    """Vector, depth, parent and quadruple member stores for size disks, with old's first n."""
+    try:
+        stores = [np.empty((size, 4)), np.empty(size, np.intp), np.empty(size, np.intp)]
+        stores.append(np.empty((size - 3, 4), np.intp))  # quadruple k added disk k + 3
+    except (MemoryError, ValueError) as exc:  # ValueError: longer than any numpy array
+        raise DiskGeomError(f"cannot allocate the arrays of {size} disks: {exc}") from None
+    for store, rows in zip(stores, old):
+        k = n - (size - len(store))  # the member store is 3 rows shorter
+        store[:k] = rows[:k]
+    return stores
+
+
 def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
     """Level-by-level reflection closure of the seed under the given limits.
 
@@ -172,50 +193,68 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
             f"seed vector {seed.curvatures.index(0.0)} is a halfplane, so a curvature limit "
             "alone never ends the growth; set a depth or count limit"
         )
-    # (N,4) vectors of the n disks so far; rows past n are spare capacity
-    store = np.array([tuple(v) for v in seed.vectors], dtype=float)
-    members = np.arange(4)[None, :]  # (Q,4) disk index of each frontier slot
-    born = np.array([-1])  # the slot that created each frontier quadruple
-    # per level: the new disks' depths and parent quadruple ids, and the
-    # members of the quadruples they complete
-    depths, parents, member_rows = [np.zeros(4, np.intp)], [np.zeros(4, np.intp)], [members]
+    # Without pruning the size is known: 4 seed disks, then 4 * 3^(d-1) at level d.
+    # Past depth 40 that is longer than any array, so the power is not formed.
+    size, d = limits.max_count, limits.max_depth
+    if limits.max_curvature is None and d is not None:
+        if d <= 40:
+            size = min(4 + 2 * (3**d - 1), size or math.inf)
+        elif size is None:
+            raise DiskGeomError(f"cannot allocate the arrays of 4 + 2 * (3**{d} - 1) disks")
+    # disk vectors, depths, parent quadruple ids and quadruple members; rows past n are spare
+    try:
+        stores = _stores(size or 4)
+    except DiskGeomError:
+        if limits.max_curvature is None:  # the run holds exactly size disks
+            raise
+        stores = _stores(4)  # max_count only caps a pruned run, which then grows as it goes
+    vectors, depths, parents, members = stores
+    vectors[:4] = [tuple(v) for v in seed.vectors]
+    depths[:4] = parents[:4] = 0
+    members[0] = range(4)
+    born = np.array([-1], np.int8)  # the slot that created each frontier quadruple
     n, first, depth = 4, 0, 0  # disks so far, id of the first frontier quadruple, its depth
     while (
-        len(members)
+        len(born)
         and (limits.max_depth is None or depth < limits.max_depth)
         and (limits.max_count is None or n < limits.max_count)
     ):
-        keep = born[:, None] != np.arange(4)
-        if limits.max_curvature is not None:
-            beta = store[:, 2][members]
-            for i, (a, b, c) in enumerate(_OTHERS):
-                child = 2.0 * (beta[:, a] + beta[:, b] + beta[:, c]) - beta[:, i]
-                keep[:, i] &= ~(child > limits.max_curvature)
-        parent, born = np.nonzero(keep)
-        if limits.max_count is not None:
-            parent, born = parent[: limits.max_count - n], born[: limits.max_count - n]
-        rows = np.arange(len(parent))
-        members = members[parent]
-        if n + len(rows) > len(store):  # at least doubling keeps deep, narrow runs linear
-            store = np.concatenate((store[:n], np.empty((max(n, len(rows)), 4))))
-        # vieta_reflect's order of operations, so the values match it bit for bit;
-        # the k-th fixed slot of a child is k + (born <= k), ascending as in _OTHERS
-        a, b, c = (members[rows, k + (born <= k)] for k in range(3))
-        # one expression, so numpy reuses its temporaries in place (a lower peak)
-        store[n : n + len(rows)] = 2.0 * (store[a] + store[b] + store[c]) - store[members[rows, born]]
-        members[rows, born] = n + rows
         depth += 1
-        depths.append(np.full(len(parent), depth, np.intp))
-        parents.append(first + parent)
-        member_rows.append(members)
-        first += len(keep)
-        n += len(parent)
-    store = store[:n].copy() if len(store) > n else store
-    disks = GasketDisks(store, np.concatenate(depths), np.concatenate(parents))
-    quadruples = GasketQuadruples(np.concatenate(member_rows), store)
+        start, next_born = n, np.empty(3 * len(born) + 1, np.int8)
+        # blocks of quadruples bound the temporaries to about CHUNK_ROWS children
+        for lo in range(0, len(born), CHUNK_ROWS // 3):
+            block = slice(lo, lo + CHUNK_ROWS // 3)
+            frontier = members[first : first + len(born)][block]
+            keep = born[block, None] != np.arange(4)
+            if limits.max_curvature is not None:
+                beta = vectors[:, 2][frontier]
+                for i, (a, b, c) in enumerate(_OTHERS):
+                    child = 2.0 * (beta[:, a] + beta[:, b] + beta[:, c]) - beta[:, i]
+                    keep[:, i] &= ~(child > limits.max_curvature)
+            parent, slot = np.nonzero(keep)
+            if limits.max_count is not None:
+                parent, slot = parent[: limits.max_count - n], slot[: limits.max_count - n]
+            rows, new = np.arange(len(parent)), slice(n, n + len(parent))
+            if new.stop > len(vectors):  # at least doubling keeps deep, narrow runs linear
+                vectors, depths, parents, members = stores = _stores(max(2 * n, new.stop), stores, n)
+            quads = members[new.start - 3 : new.stop - 3]
+            np.take(frontier, parent, axis=0, out=quads, mode="clip")  # "raise" would buffer
+            # vieta_reflect's order of operations, so the values match it bit for bit;
+            # the k-th fixed slot of a child is k + (slot <= k), ascending as in _OTHERS
+            a, b, c = (quads[rows, k + (slot <= k)] for k in range(3))
+            # one expression, so numpy reuses its temporaries in place
+            vectors[new] = 2.0 * (vectors[a] + vectors[b] + vectors[c]) - vectors[quads[rows, slot]]
+            quads[rows, slot] = n + rows
+            depths[new] = depth
+            parents[new] = first + lo + parent
+            next_born[new.start - start : new.stop - start] = slot
+            n = new.stop
+        first, born = start - 3, next_born[: n - start]
+    if n < len(vectors):
+        vectors, depths, parents, members = _stores(n, stores, n)
+    disks = GasketDisks(vectors, depths, parents)
     # quadruple k >= 1 is the one that added disk k + 3, and disk 3 is a depth-0 seed disk
-    quadruple_depths = QuadrupleDepths(disks.depths[3:])
-    return Gasket(seed, limits, disks, quadruples, quadruple_depths)
+    return Gasket(seed, limits, disks, GasketQuadruples(members, vectors), QuadrupleDepths(depths[3:]))
 
 
 def curvature_spectrum(g: Gasket) -> list[tuple[float, int]]:
@@ -300,6 +339,13 @@ def render_svg(g: Gasket, style: RenderStyle | None = None) -> str:
     return "".join(svg_chunks(g, style))
 
 
+def _circles(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Centers, radii and negative curvature of disk vectors whose curvature is nonzero."""
+    r = 1.0 / vectors[:, 2]
+    # + 0.0 flushes negative zeros out of rendered coordinates
+    return vectors[:, 0] * r + 0.0, vectors[:, 1] * r + 0.0, np.abs(r), r < 0.0
+
+
 def svg_chunks(g: Gasket, style: RenderStyle | None = None) -> Iterator[str]:
     """render_svg's document as pieces of at most CHUNK_ROWS circle elements each.
 
@@ -308,25 +354,28 @@ def svg_chunks(g: Gasket, style: RenderStyle | None = None) -> Iterator[str]:
     if not g.disks:
         raise EmptyGasket("no disks to render")
     style = style or RenderStyle()
-    vectors = g.disks.vectors
-    on_line = vectors[:, 2] == 0.0
-    lines = [halfplane_geometry(CircleVector(*v)) for v in vectors[on_line].tolist()]
-    r = 1.0 / vectors[~on_line, 2]
-    # + 0.0 flushes negative zeros out of rendered coordinates
-    cx = vectors[~on_line, 0] * r + 0.0
-    cy = vectors[~on_line, 1] * r + 0.0
-    outline = r < 0.0
-    r = np.abs(r)
-    if outline.any():
-        k = np.flatnonzero(outline)[np.argmax(r[outline])]
-        xmin, xmax = (cx[k] - r[k]).item(), (cx[k] + r[k]).item()
-        ymin, ymax = (cy[k] - r[k]).item(), (cy[k] + r[k]).item()
-    elif len(r):
-        xmin, xmax = (cx - r).min().item(), (cx + r).max().item()
-        ymin, ymax = (cy - r).min().item(), (cy + r).max().item()
-    else:
-        xmin = ymin = -1.0
-        xmax = ymax = 1.0
+    vectors, depths = g.disks.vectors, g.disks.depths
+    lines = [halfplane_geometry(CircleVector(*v)) for v in vectors[vectors[:, 2] == 0.0].tolist()]
+
+    def circle_chunks() -> Iterator[tuple[np.ndarray, ...]]:
+        # _circles and the depths of the circles among CHUNK_ROWS disks at a time
+        for lo in range(0, len(vectors), CHUNK_ROWS):
+            chunk = vectors[lo : lo + CHUNK_ROWS]
+            circle = chunk[:, 2] != 0.0
+            yield (*_circles(chunk[circle]), depths[lo : lo + CHUNK_ROWS][circle])
+
+    enclosing = vectors[vectors[:, 2] < 0.0]
+    if len(enclosing):  # the largest enclosing disk frames the picture
+        frames = [_circles(enclosing[[np.argmax(np.abs(1.0 / enclosing[:, 2]))]])]
+    else:  # or else all circles do
+        frames = circle_chunks()
+    boxes = [
+        ((cx - r).min(), (cy - r).min(), (cx + r).max(), (cy + r).max())
+        for cx, cy, r, *_ in frames
+        if len(r)
+    ]
+    xmin, ymin = np.min(boxes, axis=0)[:2].tolist() if boxes else (-1.0, -1.0)
+    xmax, ymax = np.max(boxes, axis=0)[2:].tolist() if boxes else (1.0, 1.0)
     margin = 0.02 * max(xmax - xmin, ymax - ymin)
     xmin -= margin
     ymin -= margin
@@ -347,18 +396,17 @@ def svg_chunks(g: Gasket, style: RenderStyle | None = None) -> Iterator[str]:
             f'x2="{ax + reach * dx!r}" y2="{ay + reach * dy!r}" '
             f'stroke="{style.stroke}" stroke-width="{sw!r}"/>\n'
         )
-    depths = g.disks.depths[~on_line]
     tail = f'" stroke="{style.stroke}" stroke-width="{sw!r}"/>\n'
 
-    def circles(lo: int) -> str:
-        rows = slice(lo, lo + CHUNK_ROWS)
+    def circles(chunk: tuple[np.ndarray, ...]) -> str:
+        cx, cy, r, outline, depths = chunk
         fills = (
             "none" if o else _depth_fill(d) if style.fill_by_depth else style.fill
-            for o, d in zip(outline[rows].tolist(), depths[rows].tolist())
+            for o, d in zip(outline.tolist(), depths.tolist())
         )
         return "".join(
             f'<circle cx="{x!r}" cy="{y!r}" r="{rr!r}" fill="{fill}{tail}'
-            for x, y, rr, fill in zip(cx[rows].tolist(), cy[rows].tolist(), r[rows].tolist(), fills)
+            for x, y, rr, fill in zip(cx.tolist(), cy.tolist(), r.tolist(), fills)
         )
 
-    return itertools.chain(head, map(circles, range(0, len(r), CHUNK_ROWS)), ["</svg>\n"])
+    return itertools.chain(head, map(circles, circle_chunks()), ["</svg>\n"])

@@ -235,6 +235,18 @@ class TestGasket:
         err = capsys.readouterr().err
         assert err.startswith("error: seed vector 0 is a halfplane") and err.count("\n") == 1
 
+    # the exact size of a depth-limited run is allocated up front, so a size no
+    # machine holds fails at once (MemoryError at depth 30, a numpy ValueError at 40)
+    @pytest.mark.parametrize("depth, count", [(30, 411782264189300), (40, 24315330918113857604)])
+    def test_unallocatable_depth_fails_fast(self, depth, count, tmp_path, capsys):
+        csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+        args = ["gasket", "--seed", "-1,2,2,3", "--depth", str(depth)]
+        assert main(args + ["--csv", str(csv_path), "--svg", str(svg_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: cannot allocate the arrays of {count} disks: ")
+        assert not csv_path.exists() and not svg_path.exists()
+
     def test_empty_gasket_rejected_before_svg_is_opened(self, tmp_path, monkeypatch, capsys):
         def empty(seed, limits):
             return Gasket(seed, limits, (), (seed,), (0,))
@@ -444,8 +456,14 @@ def test_gasket_depth_8_golden(seed, tmp_path, capsys):
 
 
 # sha256 of the CSV and SVG on the limit paths the depth-8 golden misses:
-# curvature pruning, a max-count cut inside a level, depth fills and halfplanes
+# curvature pruning, a max-count cut inside a level, depth fills, halfplanes,
+# and the bounding-box viewport of a seed without an enclosing disk or a line
 GOLDEN_LIMITS = {
+    "2,3,6,23 --depth 6": (
+        1460,
+        "627767079d2a2184b83a57964af6b9bb6bc97d942cfb88ec03bcdbb100fe328e",
+        "f82b3bcd9f8de28e4c8a2e4fd66edad66bfd04736e048b39d0d1b8fc475a1500",
+    ),
     "0.7,1.3,2.9 --max-curvature 500 --max-count 5000 --fill-by-depth": (
         5000,
         "78e4658d4ef939b811e786047262a470739d3d3d08f18a4ae101c8685731000b",
@@ -526,3 +544,19 @@ def test_svg_writer_memory_is_bounded(depth_10_gasket, tmp_path):
             fh.writelines(svg_chunks(depth_10_gasket))
 
     assert traced_peak_mb(write) <= 12.0
+
+
+# generate writes each level into stores of the final size, so it holds little
+# beyond its result (whole-level temporaries and closing copies peaked at 2.0x)
+def test_generate_memory_is_bounded_by_its_result():
+    seed = canonical_quadruple((-1.0, 2.0, 2.0, 3.0))
+    gaskets = []
+    peak = traced_peak_mb(lambda: gaskets.append(generate(seed, GenerationLimits(max_depth=10))))
+    (g,) = gaskets
+    arrays = (g.disks.vectors, g.disks.depths, g.disks.quadruple_ids, g.quadruples.members)
+    assert peak * 2**20 <= 1.25 * sum(a.nbytes for a in arrays)
+
+
+# the viewport comes from chunk-wise extremes, not whole-gasket coordinate arrays (3.9 MB)
+def test_svg_viewport_memory_is_bounded(depth_10_gasket):
+    assert traced_peak_mb(lambda: next(iter(svg_chunks(depth_10_gasket)))) <= 1.0

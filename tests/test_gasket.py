@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diskgeom import (
@@ -27,8 +27,12 @@ from diskgeom import (
     verify_generalized,
     vieta_reflect,
 )
+from diskgeom.gasket import CHUNK_ROWS
 
 SEED_CURVATURES = (-1.0, 2.0, 2.0, 3.0)
+# generate reflects CHUNK_ROWS // 3 quadruples at a time; the first such block of
+# depth 8 in a run without pruning ends at disk 4 + 2 * (3**7 - 1) + 3 * (CHUNK_ROWS // 3)
+DEPTH_8_BLOCK_EDGE = 4376 + 3 * (CHUNK_ROWS // 3)
 
 
 def depth_limit(n: int) -> GenerationLimits:
@@ -236,6 +240,10 @@ class TestGenerate:
         st.none() | st.floats(0.5, 300.0),
         st.none() | st.integers(4, 600),
     )
+    # a curvature-only run that grows its stores mid-level, over levels of several blocks
+    @example([2.0, 2.0, 3.0], None, 3000.0, None)
+    # a halfplane seed cut one disk past a block edge
+    @example([0.0, 0.0, 1.0], 8, None, DEPTH_8_BLOCK_EDGE + 1)
     def test_matches_object_bfs(self, curvatures, max_depth, max_curvature, max_count):
         try:
             seed = canonical_quadruple(curvatures)
@@ -268,8 +276,19 @@ class TestGenerate:
 
     @pytest.mark.parametrize("curvatures, count", [(SEED_CURVATURES, 9), ((0.7, 1.3, 2.9), 45)])
     def test_bounded_seed_stops_at_curvature_cap(self, curvatures, count):
-        g = generate(canonical_quadruple(curvatures), GenerationLimits(max_curvature=10.0))
+        seed = canonical_quadruple(curvatures)
+        g = generate(seed, GenerationLimits(max_curvature=10.0))
         assert len(g.disks) == count
+        # a count cap that no array can hold still lets the pruned run grow to its end
+        assert generate(seed, GenerationLimits(max_curvature=10.0, max_count=10**15)).disks == g.disks
+
+    def test_max_count_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="max_count must be an integer"):
+            GenerationLimits(max_count=100.0)
+
+    def test_max_depth_must_not_be_a_bool(self):
+        with pytest.raises(ValueError, match="max_depth must be an integer"):
+            GenerationLimits(max_depth=True)
 
     def test_limits_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -321,12 +340,14 @@ class TestOracles:
             (SEED_CURVATURES, GenerationLimits(max_curvature=2000.0)),
             ((0.7, 1.3, 2.9), GenerationLimits(max_curvature=2000.0)),
             ((0.0, 0.0, 1.0, 1.0), GenerationLimits(max_depth=7)),
+            (SEED_CURVATURES, GenerationLimits(max_depth=8)),
         ],
     )
     def test_count_cut_is_a_prefix_of_the_uncut_run(self, curvatures, limits):
         seed = canonical_quadruple(curvatures)
         full = generate(seed, limits).disks
-        for k in (4, 5, 17, 1000, 7777):
+        edge = DEPTH_8_BLOCK_EDGE
+        for k in (4, 5, 17, 1000, 7777, edge - 1, edge, edge + 1):
             cut = generate(seed, dataclasses.replace(limits, max_count=k)).disks
             assert len(cut) == min(k, len(full))
             assert cut.vectors.tobytes() == full.vectors[:k].tobytes()
