@@ -50,7 +50,6 @@ from .gasket import (
     Gasket,
     GasketDisk,
     GenerationLimits,
-    RenderStyle,
     canonical_quadruple,
     curvature_spectrum,
     generate,

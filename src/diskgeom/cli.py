@@ -31,7 +31,6 @@ from .gasket import (
     CHUNK_ROWS,
     GasketDisks,
     GenerationLimits,
-    RenderStyle,
     canonical_quadruple,
     generate,
     svg_chunks,
@@ -324,7 +323,7 @@ def cmd_gasket(args: argparse.Namespace) -> int:
         raise DocumentError(str(exc)) from exc
     result = generate(quad, limits)
     # svg_chunks does its array work, and raises EmptyGasket, before a file is opened
-    svg = svg_chunks(result, RenderStyle(fill_by_depth=args.fill_by_depth)) if args.svg else None
+    svg = svg_chunks(result, args.fill_by_depth) if args.svg else None
     if args.csv and args.svg and hasattr(os, "fork"):
         # both writers are bound by float formatting, so the SVG takes the second core
         with _open_output(args.csv, newline="") as csv_fh, _open_output(args.svg) as svg_fh:
@@ -340,10 +339,10 @@ def cmd_gasket(args: argparse.Namespace) -> int:
             _write_output(_open_output(args.csv, newline=""), _csv_chunks(result.disks))
         if args.svg:
             _write_output(_open_output(args.svg), svg)
-    beta = result.disks.vectors[:, 2]
-    radii = np.abs(1.0 / beta[beta != 0.0])
+    # 1/x rounds monotonically, so the largest |curvature| gives the smallest radius
+    top = np.abs(result.disks.vectors[:, 2]).max(initial=0.0)
     print(f"disks: {len(result.disks)}")
-    print(f"min radius: {fmt_float(radii.min()) if len(radii) else 'n/a'}")
+    print(f"min radius: {fmt_float(1.0 / top) if top else 'n/a'}")
     return EXIT_OK
 
 

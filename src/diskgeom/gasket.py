@@ -12,8 +12,10 @@ import colorsys
 import functools
 import itertools
 import math
+import numbers
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +56,11 @@ class GenerationLimits:
             object.__setattr__(self, name, None if value is None else operator.index(value))
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth!r}")
-        if self.max_curvature is not None and not self.max_curvature > 0.0:
-            raise ValueError(f"max_curvature must be > 0, got {self.max_curvature!r}")
+        cap = self.max_curvature  # past the largest float a cap never prunes, so never ends a run
+        if cap is not None and (
+            isinstance(cap, bool) or not isinstance(cap, numbers.Real) or not 0 < cap <= sys.float_info.max
+        ):
+            raise ValueError(f"max_curvature must be a finite real number > 0, got {cap!r}")
         if self.max_count is not None and self.max_count < 4:
             raise ValueError(f"max_count must cover the 4 seed disks, got {self.max_count!r}")
 
@@ -109,15 +114,6 @@ class GasketDisks(_ArraySequence):
 
     __slots__ = ("vectors", "depths", "quadruple_ids")
 
-    @classmethod
-    def from_disks(cls, disks: Iterable[GasketDisk]) -> GasketDisks:
-        disks = tuple(disks)
-        return cls(
-            np.array([tuple(d.vector) for d in disks], dtype=float).reshape(-1, 4),
-            np.array([d.depth for d in disks], dtype=np.intp),
-            np.array([d.quadruple_id for d in disks], dtype=np.intp),
-        )
-
     def _item(self, k: int) -> GasketDisk:
         return GasketDisk(
             CircleVector(*self.vectors[k].tolist()), int(self.depths[k]), int(self.quadruple_ids[k])
@@ -137,28 +133,20 @@ class GasketQuadruples(_ArraySequence):
         return Quadruple(tuple(CircleVector(*v) for v in self.vectors[self.members[k]].tolist()))
 
 
-class QuadrupleDepths(_ArraySequence):
-    """Depth (M,) of each explored quadruple."""
-
-    __slots__ = ("depths",)
-
-    def _item(self, k: int) -> int:
-        return int(self.depths[k])
-
-
 @dataclass(frozen=True)
 class Gasket:
-    """A grown gasket; a plain sequence of GasketDisk is converted to GasketDisks."""
+    """A grown gasket: its disks and the quadruples explored to find them."""
 
     seed: Quadruple
     limits: GenerationLimits
     disks: GasketDisks
-    quadruples: Sequence[Quadruple]
-    quadruple_depths: Sequence[int]
+    quadruples: GasketQuadruples
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.disks, GasketDisks):
-            object.__setattr__(self, "disks", GasketDisks.from_disks(self.disks))
+    @property
+    def quadruple_depths(self) -> np.ndarray:
+        """Read-only depth (M,) of each explored quadruple."""
+        # quadruple k >= 1 added disk k + 3, and disk 3 is a depth-0 seed disk
+        return self.disks.depths[3:]
 
 
 def _stores(size: int, old: Sequence[np.ndarray] = (), n: int = 0) -> list[np.ndarray]:
@@ -252,9 +240,7 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
         first, born = start - 3, next_born[: n - start]
     if n < len(vectors):
         vectors, depths, parents, members = _stores(n, stores, n)
-    disks = GasketDisks(vectors, depths, parents)
-    # quadruple k >= 1 is the one that added disk k + 3, and disk 3 is a depth-0 seed disk
-    return Gasket(seed, limits, disks, GasketQuadruples(members, vectors), QuadrupleDepths(depths[3:]))
+    return Gasket(seed, limits, GasketDisks(vectors, depths, parents), GasketQuadruples(members, vectors))
 
 
 def curvature_spectrum(g: Gasket) -> list[tuple[float, int]]:
@@ -313,14 +299,6 @@ def canonical_quadruple(curvatures: Sequence[float]) -> Quadruple:
     return Quadruple((*triple, fourth))
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    fill_by_depth: bool = False
-    fill: str = "none"
-    stroke: str = "#000000"
-    stroke_width: float | None = None
-
-
 @functools.cache
 def _depth_fill(depth: int) -> str:
     # golden-angle hue steps keep fills distinct across depth levels
@@ -329,14 +307,15 @@ def _depth_fill(depth: int) -> str:
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
 
 
-def render_svg(g: Gasket, style: RenderStyle | None = None) -> str:
+def render_svg(g: Gasket, fill_by_depth: bool = False) -> str:
     """SVG 1.1 document: one circle element per disk, lines for halfplanes.
 
     The viewport fits the enclosing disk when one exists, otherwise the
     bounding box of all circles, with a 2% margin.  Disks of negative
-    curvature are drawn as unfilled outlines.
+    curvature are drawn as unfilled outlines; fill_by_depth colors the
+    others by their depth.
     """
-    return "".join(svg_chunks(g, style))
+    return "".join(svg_chunks(g, fill_by_depth))
 
 
 def _circles(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -346,14 +325,13 @@ def _circles(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
     return vectors[:, 0] * r + 0.0, vectors[:, 1] * r + 0.0, np.abs(r), r < 0.0
 
 
-def svg_chunks(g: Gasket, style: RenderStyle | None = None) -> Iterator[str]:
+def svg_chunks(g: Gasket, fill_by_depth: bool = False) -> Iterator[str]:
     """render_svg's document as pieces of at most CHUNK_ROWS circle elements each.
 
     EmptyGasket is raised by this call, before the first piece is taken.
     """
     if not g.disks:
         raise EmptyGasket("no disks to render")
-    style = style or RenderStyle()
     vectors, depths = g.disks.vectors, g.disks.depths
     lines = [halfplane_geometry(CircleVector(*v)) for v in vectors[vectors[:, 2] == 0.0].tolist()]
 
@@ -381,7 +359,7 @@ def svg_chunks(g: Gasket, style: RenderStyle | None = None) -> Iterator[str]:
     ymin -= margin
     width = xmax + margin - xmin
     height = ymax + margin - ymin
-    sw = style.stroke_width if style.stroke_width is not None else 0.005 * max(width, height)
+    stroke = f'stroke="#000000" stroke-width="{0.005 * max(width, height)!r}"/>\n'
     head = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -393,19 +371,17 @@ def svg_chunks(g: Gasket, style: RenderStyle | None = None) -> Iterator[str]:
         dx, dy = -ny, nx
         head.append(
             f'<line x1="{ax - reach * dx!r}" y1="{ay - reach * dy!r}" '
-            f'x2="{ax + reach * dx!r}" y2="{ay + reach * dy!r}" '
-            f'stroke="{style.stroke}" stroke-width="{sw!r}"/>\n'
+            f'x2="{ax + reach * dx!r}" y2="{ay + reach * dy!r}" {stroke}'
         )
-    tail = f'" stroke="{style.stroke}" stroke-width="{sw!r}"/>\n'
 
     def circles(chunk: tuple[np.ndarray, ...]) -> str:
         cx, cy, r, outline, depths = chunk
         fills = (
-            "none" if o else _depth_fill(d) if style.fill_by_depth else style.fill
+            _depth_fill(d) if fill_by_depth and not o else "none"
             for o, d in zip(outline.tolist(), depths.tolist())
         )
         return "".join(
-            f'<circle cx="{x!r}" cy="{y!r}" r="{rr!r}" fill="{fill}{tail}'
+            f'<circle cx="{x!r}" cy="{y!r}" r="{rr!r}" fill="{fill}" {stroke}'
             for x, y, rr, fill in zip(cx.tolist(), cy.tolist(), r.tolist(), fills)
         )
 

@@ -4,12 +4,13 @@ import math
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from diskgeom import Gasket, GenerationLimits, canonical_quadruple, generate, render_svg
 from diskgeom import cli
 from diskgeom.cli import main
-from diskgeom.gasket import CHUNK_ROWS, svg_chunks
+from diskgeom.gasket import CHUNK_ROWS, GasketDisks, GasketQuadruples, svg_chunks
 
 QUAD_DOC = {
     "disks": [
@@ -193,6 +194,11 @@ class TestSolve4:
         assert main(["solve4", write_doc(tmp_path, QUAD_DOC)]) == 2
 
 
+def empty_gasket(seed, limits):
+    disks = GasketDisks(np.empty((0, 4)), np.empty(0, np.intp), np.empty(0, np.intp))
+    return Gasket(seed, limits, disks, GasketQuadruples(np.empty((0, 4), np.intp), disks.vectors))
+
+
 class TestGasket:
     def test_csv_census(self, tmp_path, capsys):
         csv_path = tmp_path / "out.csv"
@@ -248,14 +254,16 @@ class TestGasket:
         assert not csv_path.exists() and not svg_path.exists()
 
     def test_empty_gasket_rejected_before_svg_is_opened(self, tmp_path, monkeypatch, capsys):
-        def empty(seed, limits):
-            return Gasket(seed, limits, (), (seed,), (0,))
-
-        monkeypatch.setattr(cli, "generate", empty)
+        monkeypatch.setattr(cli, "generate", empty_gasket)
         svg_path = tmp_path / "out.svg"
         assert main(["gasket", "--seed", "-1,2,2,3", "--depth", "1", "--svg", str(svg_path)]) == 2
         assert "no disks" in capsys.readouterr().err
         assert not svg_path.exists()
+
+    def test_empty_gasket_has_no_min_radius(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "generate", empty_gasket)
+        assert main(["gasket", "--seed", "-1,2,2,3", "--depth", "1"]) == 0
+        assert capsys.readouterr().out == "disks: 0\nmin radius: n/a\n"
 
     @pytest.mark.parametrize("both", [False, True], ids=["alone", "both"])
     @pytest.mark.parametrize("flag", ["--csv", "--svg"])
@@ -289,6 +297,11 @@ class TestGasket:
             assert out.count("disks:") == 1 and err == ""
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_infinite_curvature_limit(self, capsys):
+        # with a depth limit too, so that a cap let through could not grow without end
+        assert main(["gasket", "--seed", "2,2,3", "--max-curvature", "inf", "--depth", "1"]) == 2
+        assert capsys.readouterr().err == "error: max_curvature must be a finite real number > 0, got inf\n"
 
     def test_missing_limits(self, capsys):
         code = main(["gasket", "--seed", "-1,2,2,3"])
@@ -480,6 +493,23 @@ GOLDEN_LIMITS = {
         "5359f26509f8b938c45002aa1a38466a828d968a37537752072957f30b4be7bd",
     ),
 }
+
+
+# stdout of runs whose smallest radius is a reflected disk, a disk of a
+# pruned and count-cut level, and a disk beside two halfplanes
+GASKET_SUMMARIES = {
+    "-1,2,2,3 --depth 8": (13124, "4.463687898942106e-05"),
+    "0.7,1.3,2.9 --max-curvature 5000 --max-count 100000": (100000, "0.00020000125301707571"),
+    "0,0,1 --depth 6": (1460, "0.0012376237623762376"),
+    "2,2,3 --depth 7": (4376, "0.00012896569512509673"),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(GASKET_SUMMARIES))
+def test_gasket_summary(flags, capsys):
+    assert main(["gasket", "--seed", *flags.split()]) == 0
+    count, radius = GASKET_SUMMARIES[flags]
+    assert capsys.readouterr().out == f"disks: {count}\nmin radius: {radius}\n"
 
 
 @pytest.mark.parametrize("flags", sorted(GOLDEN_LIMITS))

@@ -17,7 +17,6 @@ from diskgeom import (
     GenerationLimits,
     InvalidSeed,
     Quadruple,
-    RenderStyle,
     canonical_quadruple,
     curvature_spectrum,
     generate,
@@ -27,7 +26,7 @@ from diskgeom import (
     verify_generalized,
     vieta_reflect,
 )
-from diskgeom.gasket import CHUNK_ROWS
+from diskgeom.gasket import CHUNK_ROWS, GasketDisks, GasketQuadruples
 
 SEED_CURVATURES = (-1.0, 2.0, 2.0, 3.0)
 # generate reflects CHUNK_ROWS // 3 quadruples at a time; the first such block of
@@ -185,6 +184,11 @@ class TestGenerate:
         a = generate(int_quadruple, depth_limit(3))
         b = generate(int_quadruple, depth_limit(3))
         assert a.disks == b.disks
+        assert a == b and hash(a) == hash(b)
+        assert generate(int_quadruple, depth_limit(2)) != a
+        # a count cap that cuts nothing leaves the disks alone, but the limits still differ
+        uncut = generate(int_quadruple, GenerationLimits(max_depth=3, max_count=1000))
+        assert uncut.disks == a.disks and uncut != a
 
     def test_integral_curvatures(self, int_quadruple):
         g = generate(int_quadruple, depth_limit(8))
@@ -220,6 +224,11 @@ class TestGenerate:
                 assert d.quadruple_id == 0
             else:
                 assert d.depth == g.quadruple_depths[d.quadruple_id] + 1
+        # the stored arrays are read-only views
+        with pytest.raises(ValueError):
+            g.disks.vectors[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            g.quadruple_depths[0] = 1
 
     def test_invalid_seed_rejected(self):
         bad = Quadruple(
@@ -297,6 +306,9 @@ class TestGenerate:
             GenerationLimits(max_depth=-1)
         with pytest.raises(ValueError):
             GenerationLimits(max_count=2)
+        for cap in (True, "5", math.inf, math.nan, 10**400):
+            with pytest.raises(ValueError, match="max_curvature must be a finite real number > 0"):
+                GenerationLimits(max_curvature=cap)
 
 
 class TestOracles:
@@ -390,7 +402,7 @@ class TestRenderSvg:
 
     def test_fill_by_depth_distinct_per_level(self, int_quadruple):
         g = generate(int_quadruple, depth_limit(3))
-        svg = render_svg(g, RenderStyle(fill_by_depth=True))
+        svg = render_svg(g, fill_by_depth=True)
         fills = {
             line.split('fill="')[1].split('"')[0]
             for line in svg.splitlines()
@@ -400,7 +412,7 @@ class TestRenderSvg:
         assert len(fills) == 5
 
     def test_enclosing_disk_is_outline(self, int_quadruple):
-        svg = render_svg(generate(int_quadruple, depth_limit(0)), RenderStyle(fill_by_depth=True))
+        svg = render_svg(generate(int_quadruple, depth_limit(0)), fill_by_depth=True)
         first_circle = next(l for l in svg.splitlines() if l.startswith("<circle "))
         assert 'fill="none"' in first_circle
 
@@ -410,22 +422,10 @@ class TestRenderSvg:
         assert svg.count("<line ") == 2
         assert svg.count("<circle ") == len(g.disks) - 2
 
-    @pytest.mark.parametrize("curvatures", [SEED_CURVATURES, (0.0, 0.0, 1.0)])
-    def test_plain_disk_tuple_matches_generated(self, curvatures):
-        g = generate(canonical_quadruple(curvatures), depth_limit(3))
-        copy = Gasket(
-            g.seed, g.limits, tuple(g.disks), tuple(g.quadruples), tuple(g.quadruple_depths)
-        )
-        assert len(copy.disks) == len(g.disks)
-        assert list(copy.disks) == list(g.disks)
-        assert copy.disks == g.disks
-        style = RenderStyle(fill_by_depth=True)
-        assert render_svg(copy, style) == render_svg(g, style)
-        assert curvature_spectrum(copy) == curvature_spectrum(g)
-        with pytest.raises(ValueError):
-            g.disks.vectors[0, 0] = 0.0
-
     def test_empty_gasket_rejected(self, int_quadruple):
-        empty = Gasket(int_quadruple, depth_limit(0), (), (int_quadruple,), (0,))
+        disks = GasketDisks(np.empty((0, 4)), np.empty(0, np.intp), np.empty(0, np.intp))
+        quadruples = GasketQuadruples(np.empty((0, 4), np.intp), disks.vectors)
+        empty = Gasket(int_quadruple, depth_limit(0), disks, quadruples)
+        assert len(empty.quadruple_depths) == 0
         with pytest.raises(EmptyGasket):
             render_svg(empty)
