@@ -11,6 +11,7 @@ from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
+from ._text import join_rows, repr_rows, text_rows
 from .descartes import (
     Quadruple,
     descartes_residual,
@@ -251,20 +252,20 @@ def _parse_seed(text: str) -> list[float]:
 def _csv_chunks(disks: GasketDisks) -> Iterator[str]:
     """The gasket CSV in pieces of at most CHUNK_ROWS rows each."""
     yield "depth,curvature,x,y\n"
+    depth_text = text_rows([str(d) for d in range(disks.depths.max(initial=0) + 1)])
     for lo in range(0, len(disks), CHUNK_ROWS):
         vectors = disks.vectors[lo : lo + CHUNK_ROWS]
         beta = vectors[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             # + 0.0 flushes negative zeros out of the output
-            xs = (vectors[:, 0] / beta + 0.0).tolist()
-            ys = (vectors[:, 1] / beta + 0.0).tolist()
+            fields = np.vstack([beta, vectors[:, :2].T / beta + 0.0])  # curvature, x, y
         for k in np.flatnonzero(beta == 0.0).tolist():
             # boundary anchor point of the halfplane
             nx, ny, offset = halfplane_geometry(CircleVector(*vectors[k].tolist()))
-            xs[k], ys[k] = nx * offset, ny * offset
+            fields[1:, k] = nx * offset, ny * offset
         # every field is an int or a float repr, so no field ever needs CSV quoting
-        rows = zip(disks.depths[lo : lo + CHUNK_ROWS].tolist(), beta.tolist(), xs, ys)
-        yield "".join(f"{d},{b!r},{x!r},{y!r}\n" for d, b, x, y in rows)
+        b, x, y = map(repr_rows, fields)
+        yield from join_rows(depth_text[disks.depths[lo : lo + CHUNK_ROWS]], ",", b, ",", x, ",", y, "\n")
 
 
 def _open_output(path: str, newline: str | None = None) -> TextIO:

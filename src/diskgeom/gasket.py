@@ -9,7 +9,6 @@ API are built only when a caller indexes or iterates them.
 from __future__ import annotations
 
 import colorsys
-import functools
 import itertools
 import math
 import numbers
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import join_rows, repr_rows, text_rows
 from .descartes import (
     Quadruple,
     descartes_residual,
@@ -79,7 +79,7 @@ class _ArraySequence(Sequence):
 
     Subclasses name their arrays in __slots__, the first one giving the
     length, and build item k in _item.  The arrays are not copied.  Equality
-    and hashing go by content, like the tuples these sequences stand in for.
+    goes by content and hashing by the integer arrays, so neither builds items.
     """
 
     __slots__ = ()
@@ -99,14 +99,13 @@ class _ArraySequence(Sequence):
         return self._item(range(len(self))[k])
 
     def __eq__(self, other) -> bool:
-        if type(other) is type(self):
-            return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in self.__slots__)
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in self.__slots__)
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        # equal float vectors may differ in the sign of a zero, so only the integer arrays count
+        return hash(tuple(getattr(self, n).astype(int).tobytes() for n in self.__slots__ if n != "vectors"))
 
 
 class GasketDisks(_ArraySequence):
@@ -299,7 +298,6 @@ def canonical_quadruple(curvatures: Sequence[float]) -> Quadruple:
     return Quadruple((*triple, fourth))
 
 
-@functools.cache
 def _depth_fill(depth: int) -> str:
     # golden-angle hue steps keep fills distinct across depth levels
     h = (depth * 0.6180339887498949) % 1.0
@@ -374,15 +372,12 @@ def svg_chunks(g: Gasket, fill_by_depth: bool = False) -> Iterator[str]:
             f'x2="{ax + reach * dx!r}" y2="{ay + reach * dy!r}" {stroke}'
         )
 
-    def circles(chunk: tuple[np.ndarray, ...]) -> str:
-        cx, cy, r, outline, depths = chunk
-        fills = (
-            _depth_fill(d) if fill_by_depth and not o else "none"
-            for o, d in zip(outline.tolist(), depths.tolist())
-        )
-        return "".join(
-            f'<circle cx="{x!r}" cy="{y!r}" r="{rr!r}" fill="{fill}" {stroke}'
-            for x, y, rr, fill in zip(cx.tolist(), cy.tolist(), r.tolist(), fills)
-        )
+    fills = text_rows([*map(_depth_fill, range(depths.max() + 1 if fill_by_depth else 0)), "none"])
 
-    return itertools.chain(head, map(circles, circle_chunks()), ["</svg>\n"])
+    def circles(chunk: tuple[np.ndarray, ...]) -> Iterator[str]:
+        cx, cy, r, outline, depths = chunk
+        x, y, rr = map(repr_rows, (cx, cy, r))
+        fill = fills[np.where(outline | (not fill_by_depth), -1, depths)]
+        return join_rows('<circle cx="', x, '" cy="', y, '" r="', rr, '" fill="', fill, f'" {stroke}')
+
+    return itertools.chain(head, itertools.chain.from_iterable(map(circles, circle_chunks())), ["</svg>\n"])

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from diskgeom import Gasket, GenerationLimits, canonical_quadruple, generate, render_svg
 from diskgeom import cli
 from diskgeom.cli import main
-from diskgeom.gasket import CHUNK_ROWS, GasketDisks, GasketQuadruples, svg_chunks
+from diskgeom.gasket import CHUNK_ROWS, GasketDisks, GasketQuadruples, _depth_fill, svg_chunks
+from diskgeom.minkowski import halfplane_geometry
 
 QUAD_DOC = {
     "disks": [
@@ -542,6 +544,62 @@ def test_svg_chunks_join_to_render_svg(seed):
     chunks = list(svg_chunks(g))
     assert "".join(chunks) == render_svg(g)
     assert max(chunk.count("<circle ") for chunk in chunks) <= CHUNK_ROWS
+
+
+def reference_csv(disks) -> str:
+    """The gasket CSV written one f-string row at a time: the reference for the column writer."""
+    rows = ["depth,curvature,x,y\n"]
+    for disk in disks:
+        xdot, ydot, beta, _ = disk.vector
+        if beta == 0.0:
+            nx, ny, offset = halfplane_geometry(disk.vector)
+            x, y = nx * offset, ny * offset
+        else:
+            x, y = xdot / beta + 0.0, ydot / beta + 0.0
+        rows.append(f"{disk.depth},{beta!r},{x!r},{y!r}\n")
+    return "".join(rows)
+
+
+def reference_svg(g, fill_by_depth: bool) -> str:
+    """render_svg with one f-string circle element per disk: the reference for the column writer.
+
+    The header, viewport and halfplane lines are taken from render_svg, whose
+    code for them is shared; the stroke width is read back from the viewBox.
+    """
+    text = render_svg(g, fill_by_depth)
+    head = text[: text.index("<circle ")]
+    width, height = map(float, re.search(r'viewBox="\S+ \S+ (\S+) (\S+)"', head).groups())
+    stroke = f'stroke="#000000" stroke-width="{0.005 * max(width, height)!r}"/>\n'
+    circles = []
+    for disk in g.disks:
+        xdot, ydot, beta, _ = disk.vector
+        if beta != 0.0:
+            r = 1.0 / beta
+            fill = _depth_fill(disk.depth) if fill_by_depth and r > 0.0 else "none"
+            cx, cy = xdot * r + 0.0, ydot * r + 0.0
+            circles.append(f'<circle cx="{cx!r}" cy="{cy!r}" r="{abs(r)!r}" fill="{fill}" {stroke}')
+    return head + "".join(circles) + "</svg>\n"
+
+
+# the depth-8 goldens, a halfplane seed, and depths past 100 for the depth and fill tables
+REFERENCE_RUNS = [f"{seed} --depth 8" for seed in sorted(GOLDEN_DEPTH_8)] + [
+    "0,1,4 --depth 6",
+    "0,0,1,1 --max-curvature 1.5 --max-count 300 --fill-by-depth",
+]
+
+
+@pytest.mark.parametrize("flags", REFERENCE_RUNS)
+def test_gasket_writers_match_reference(flags, tmp_path, capsys):
+    csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+    seed, *rest = flags.split()
+    assert main(["gasket", f"--seed={seed}", *rest, "--csv", str(csv_path), "--svg", str(svg_path)]) == 0
+    args = cli.build_parser().parse_args(["gasket", f"--seed={seed}", *rest])
+    limits = GenerationLimits(args.depth, args.max_curvature, args.max_count)
+    g = generate(canonical_quadruple(cli._parse_seed(seed)), limits)
+    if args.fill_by_depth:
+        assert g.disks.depths.max() >= 100  # three-digit depths and fill table rows
+    assert csv_path.read_bytes() == reference_csv(g.disks).encode()
+    assert svg_path.read_bytes() == reference_svg(g, args.fill_by_depth).encode()
 
 
 @pytest.fixture(scope="module")

@@ -190,6 +190,30 @@ class TestGenerate:
         uncut = generate(int_quadruple, GenerationLimits(max_depth=3, max_count=1000))
         assert uncut.disks == a.disks and uncut != a
 
+    def test_hash_builds_no_items(self, int_quadruple, monkeypatch):
+        a, b = generate(int_quadruple, depth_limit(4)), generate(int_quadruple, depth_limit(4))
+
+        def no_items(*args):
+            raise AssertionError("hashing built a disk or quadruple")
+
+        for cls in (GasketDisks, GasketQuadruples):
+            monkeypatch.setattr(cls, "_item", no_items)
+        monkeypatch.setattr(GasketDisks, "__iter__", no_items)
+        assert hash(a) == hash(b) and hash(a.disks) == hash(b.disks)
+
+    def test_signed_zeros_compare_and_hash_alike(self, int_quadruple):
+        g = generate(int_quadruple, depth_limit(2))
+        flipped = np.where(g.disks.vectors == 0.0, -0.0, g.disks.vectors)
+        disks = GasketDisks(flipped, g.disks.depths, g.disks.quadruple_ids)
+        quadruples = GasketQuadruples(g.quadruples.members, flipped)
+        assert bits(disks.vectors) != bits(g.disks.vectors)
+        assert disks == g.disks and hash(disks) == hash(g.disks)
+        assert quadruples == g.quadruples and hash(quadruples) == hash(g.quadruples)
+
+    def test_sequences_are_not_tuples(self, int_quadruple):
+        g = generate(int_quadruple, depth_limit(2))
+        assert g.disks != tuple(g.disks) and g.quadruples != tuple(g.quadruples)
+
     def test_integral_curvatures(self, int_quadruple):
         g = generate(int_quadruple, depth_limit(8))
         for d in g.disks:
