@@ -12,12 +12,7 @@ from typing import Any, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from ._text import join_rows, repr_rows, text_rows
-from .descartes import (
-    Quadruple,
-    descartes_residual,
-    solve_fourth_disk,
-    worst_tangency,
-)
+from .descartes import Quadruple, descartes_residual, solve_fourth_disk
 from .errors import (
     ComplexRoots,
     DegenerateTriple,
@@ -46,7 +41,7 @@ from .minkowski import (
     lift,
     project,
 )
-from .nsphere import NSphere, lift_sphere, soddy_gosset_residual
+from .nsphere import soddy_gosset_residual
 
 SCHEMA_VERSION = 1
 
@@ -97,15 +92,13 @@ def _point(value: Any, what: str, length: int) -> tuple[float, ...]:
     return tuple(_number(v, what) for v in value)
 
 
-def _radius(entry: dict, label: str) -> float:
+def _parse_circle(entry: dict, label: str, dim: int) -> Circle:
+    """A circle record (dim 2) or a sphere record of the document's dim."""
+    center = _point(entry.get("center"), f"{label} center", dim)
     radius = _number(entry.get("radius"), f"{label} radius")
     if radius == 0.0:
         raise DocumentError(f"{label} radius must be nonzero")
-    return radius
-
-
-def _parse_circle(entry: dict, label: str) -> Circle:
-    return Circle(_point(entry.get("center"), f"{label} center", 2), _radius(entry, label))
+    return Circle(center, radius)
 
 
 def _parse_halfplane(entry: dict, label: str) -> Halfplane:
@@ -117,12 +110,8 @@ def _parse_halfplane(entry: dict, label: str) -> Halfplane:
     return Halfplane((normal[0] / norm, normal[1] / norm), offset / norm)
 
 
-def _parse_sphere(entry: dict, label: str, dim: int) -> NSphere:
-    return NSphere(_point(entry.get("center"), f"{label} center", dim), _radius(entry, label))
-
-
-def load_document(path: str) -> tuple[str, Any]:
-    """Read a disk document; returns ("planar", [Disk]) or ("spheres", (n, [NSphere]))."""
+def load_document(path: str) -> tuple[str, int, list[Disk]]:
+    """Read a disk document; returns ("planar", 2, disks) or ("spheres", n, spheres)."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
@@ -148,17 +137,14 @@ def load_document(path: str) -> tuple[str, Any]:
         dim = doc.get("dim")
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
             raise DocumentError("sphere documents need an integer 'dim' >= 2")
-        spheres = [_parse_sphere(e, f"sphere {k}", dim) for k, e in enumerate(entries)]
-        return "spheres", (dim, spheres)
+        return "spheres", dim, [_parse_circle(e, f"sphere {k}", dim) for k, e in enumerate(entries)]
     if "dim" in doc and doc["dim"] != 2:
         raise DocumentError("planar documents must have dim 2 when 'dim' is present")
-    disks: list[Disk] = []
-    for k, entry in enumerate(entries):
-        if entry["type"] == "circle":
-            disks.append(_parse_circle(entry, f"disk {k}"))
-        else:
-            disks.append(_parse_halfplane(entry, f"disk {k}"))
-    return "planar", disks
+    disks = [
+        _parse_circle(e, f"disk {k}", 2) if e["type"] == "circle" else _parse_halfplane(e, f"disk {k}")
+        for k, e in enumerate(entries)
+    ]
+    return "planar", 2, disks
 
 
 def disk_record(d: Disk) -> dict:
@@ -184,17 +170,14 @@ def _emit_json(obj: dict) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    kind, payload = load_document(args.input)
-    if kind == "planar":
-        if len(payload) != 4:
-            raise DocumentError(f"expected 4 disks, got {len(payload)}")
-        vectors = [lift(x) for x in payload]
-    else:
-        dim, spheres = payload
-        if len(spheres) != dim + 2:
-            raise DocumentError(f"expected n+2 = {dim + 2} spheres for dim {dim}, got {len(spheres)}")
-        vectors = [lift_sphere(s) for s in spheres]
-    f, finv, residual = configuration_identity(vectors)
+    kind, dim, disks = load_document(args.input)
+    if len(disks) != dim + 2:
+        raise DocumentError(
+            f"expected 4 disks, got {len(disks)}"
+            if kind == "planar"
+            else f"expected n+2 = {dim + 2} spheres for dim {dim}, got {len(disks)}"
+        )
+    f, finv, residual = configuration_identity([lift(d) for d in disks])
     passed = residual <= args.tol
     if args.json:
         _emit_json(
@@ -215,17 +198,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_solve4(args: argparse.Namespace) -> int:
-    kind, payload = load_document(args.input)
-    if kind != "planar" or len(payload) != 3:
+    kind, _, disks = load_document(args.input)
+    if kind != "planar" or len(disks) != 3:
         raise DocumentError("solve4 needs a planar document with exactly 3 disks")
-    vectors = [lift(d) for d in payload]
-    try:
-        roots = solve_fourth_disk(*vectors, tol=args.tol)
-    except NotTangent:
-        worst, pair = worst_tangency(vectors)
-        raise NotTangent(
-            f"disks {pair[0]} and {pair[1]} are not tangent, residual {worst!r}"
-        ) from None
+    vectors = [lift(d) for d in disks]
+    roots = solve_fourth_disk(*vectors, tol=args.tol)
     curvatures = [v.beta for v in vectors]
     solutions = []
     for root in roots:
@@ -308,10 +285,10 @@ def cmd_gasket(args: argparse.Namespace) -> int:
     if args.seed is not None:
         quad = canonical_quadruple(_parse_seed(args.seed))
     else:
-        kind, payload = load_document(args.input)
-        if kind != "planar" or len(payload) != 4:
+        kind, _, disks = load_document(args.input)
+        if kind != "planar" or len(disks) != 4:
             raise DocumentError("gasket documents need exactly 4 planar disks")
-        quad = Quadruple(tuple(lift(d) for d in payload))
+        quad = Quadruple(tuple(lift(d) for d in disks))
     if args.depth is None and args.max_curvature is None and args.max_count is None:
         raise DocumentError("set at least one of --depth, --max-curvature, --max-count")
     try:

@@ -24,6 +24,8 @@ from .minkowski import CircleVector, inner, normalize
 
 _RANK_TOL = 1e-10
 _PAIRS_TOL = 1e-12
+_QUADRUPLE_PAIR_TOL = 1e-6
+_QUADRUPLE_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,17 +38,15 @@ class Quadruple:
     def curvatures(self) -> tuple[float, float, float, float]:
         return tuple(v.beta for v in self.vectors)
 
-    def validate(self, pair_tol: float = 1e-6, norm_tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check normalization of each member and pairwise tangency."""
         if len(self.vectors) != 4:
             raise ValueError(f"expected 4 vectors, got {len(self.vectors)}")
         for k, v in enumerate(self.vectors):
             s = inner(v, v)
-            if abs(s + 1.0) > norm_tol:
+            if abs(s + 1.0) > _QUADRUPLE_NORM_TOL:
                 raise NotNormalized(f"vector {k} has <v,v> = {s!r}")
-        resid = tangency_residual(self.vectors)
-        if resid > pair_tol:
-            raise NotTangent(f"pairwise tangency residual {resid!r} exceeds {pair_tol!r}")
+        _check_tangent(self.vectors, _QUADRUPLE_PAIR_TOL)
 
 
 def descartes_residual(a: float, b: float, c: float, d: float) -> float:
@@ -91,6 +91,13 @@ def worst_tangency(vectors: Sequence[CircleVector]) -> tuple[float, tuple[int, i
             if r > worst:
                 worst, pair = r, (i, j)
     return worst, pair
+
+
+def _check_tangent(vectors: Sequence[CircleVector], tol: float) -> None:
+    """Raise NotTangent naming the worst pair when its residual exceeds tol."""
+    worst, (i, j) = worst_tangency(vectors)
+    if worst > tol:
+        raise NotTangent(f"disks {i} and {j} are not tangent, residual {worst!r}")
 
 
 def _solution_line(rows: list[list[float]], rhs: list[float]) -> tuple[list[float], list[float]]:
@@ -192,9 +199,7 @@ def solve_fourth_disk(
     triple = (c1, c2, c3)
     # rank check first so repeated disks report degeneracy, not non-tangency
     line = _solution_line([_tangency_row(v) for v in triple], [1.0, 1.0, 1.0])
-    resid = tangency_residual(triple)
-    if resid > tol:
-        raise NotTangent(f"triple tangency residual {resid!r} exceeds {tol!r}")
+    _check_tangent(triple, tol)
     return _roots_on_line(*line)
 
 

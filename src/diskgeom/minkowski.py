@@ -1,14 +1,15 @@
-"""Minkowski-space model of planar disks and of spheres in any dimension.
+"""Minkowski-space model of balls in any dimension n >= 2; disks are n = 2.
 
-A disk with center (x, y) and signed radius r lifts to the space-like
-4-vector (x/r, y/r, 1/r, (x^2 + y^2 - r^2)/r); halfplanes are the
-curvature-0 limit of that map.  Under the metric g (negative unit block on
-the reduced coordinates, half-swap block on curvature/co-curvature) the
-product of two lifted vectors equals the inversive product
-(d^2 - r1^2 - r2^2) / (2 r1 r2), so tangency, intersection angles and the
-whole configuration calculus become linear algebra on 4-vectors.  Spheres
-in n-space lift the same way to (n+2)-vectors, so the product, Gramian and
-configuration identity here serve every n; disks are the case n = 2.
+A ball with center c in R^n and signed radius r (negative for the
+unbounded outside of its sphere) lifts to the space-like (n+2)-vector
+(c/r, 1/r, (|c|^2 - r^2)/r); halfplanes are the curvature-0 limit of that
+map for n = 2.  Under the metric g (negative unit block on the reduced
+coordinates, half-swap block on curvature/co-curvature) the product of two
+lifted vectors equals the inversive product (d^2 - r1^2 - r2^2) / (2 r1 r2),
+so tangency, intersection angles and the whole configuration calculus
+become linear algebra on lifted vectors.  One ball type, one vector type
+and one lift serve every n; the planar solvers read a vector's xdot/ydot,
+which exist only for n = 2.
 """
 
 from __future__ import annotations
@@ -63,10 +64,14 @@ _SINGULAR_GATE = 1e-12
 
 @dataclass(frozen=True)
 class Circle:
-    """Disk bounded by a circle; radius < 0 marks the unbounded complement."""
+    """Ball in n-space, a disk for n = 2; radius < 0 marks the unbounded complement."""
 
-    center: tuple[float, float]
+    center: tuple[float, ...]
     radius: float
+
+    @property
+    def dim(self) -> int:
+        return len(self.center)
 
 
 @dataclass(frozen=True)
@@ -80,40 +85,64 @@ class Halfplane:
 Disk = Circle | Halfplane
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CircleVector:
-    """Lifted disk: reduced center (xdot, ydot), curvature beta, co-curvature gamma."""
+    """Lifted ball: reduced center coords, curvature beta, co-curvature gamma.
 
-    xdot: float
-    ydot: float
+    Built from its components, CircleVector(xdot, ydot, beta, gamma) for a
+    disk, or as CircleVector(coords, beta, gamma) for any n.
+    """
+
+    coords: tuple[float, ...]
     beta: float
     gamma: float
 
+    def __init__(self, *components) -> None:
+        *coords, beta, gamma = components
+        if len(coords) == 1:  # CircleVector(coords, beta, gamma)
+            (coords,) = coords
+        object.__setattr__(self, "coords", tuple(coords))
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
+
     @property
-    def coords(self) -> tuple[float, float]:
-        return (self.xdot, self.ydot)
+    def dim(self) -> int:
+        return len(self.coords)
+
+    xdot = property(lambda self: self._planar(0))
+    ydot = property(lambda self: self._planar(1))
+
+    def _planar(self, k: int) -> float:
+        # every planar-only path reads the reduced center through xdot/ydot
+        if len(self.coords) != 2:
+            raise BadDimension(f"planar code needs a lifted disk (n = 2), got n = {len(self.coords)}")
+        return self.coords[k]
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.xdot, self.ydot, self.beta, self.gamma])
+        return np.array([*self.coords, self.beta, self.gamma])
 
     def __iter__(self):
-        return iter((self.xdot, self.ydot, self.beta, self.gamma))
+        return iter((*self.coords, self.beta, self.gamma))
 
 
 def lift(d: Disk) -> CircleVector:
-    """Map a disk to its normalized space-like 4-vector."""
-    if isinstance(d, Circle):
-        x, y = d.center
-        r = d.radius
-        if r == 0.0 or not math.isfinite(r):
-            raise ZeroRadius(f"circle radius must be finite and nonzero, got {r!r}")
-        return CircleVector(x / r, y / r, 1.0 / r, (x * x + y * y - r * r) / r)
-    nx, ny = d.normal
-    norm = math.hypot(nx, ny)
-    if abs(norm - 1.0) > _UNIT_NORMAL_TOL:
-        raise NonUnitNormal(f"halfplane normal must be unit length, |n| = {norm!r}")
-    # 0.0 - x coerces ints and flushes negative zeros
-    return CircleVector(0.0 - nx, 0.0 - ny, 0.0, 0.0 - 2.0 * d.offset)
+    """Map a ball of any dimension n >= 2, or a halfplane, to its normalized (n+2)-vector."""
+    if isinstance(d, Halfplane):
+        nx, ny = d.normal
+        norm = math.hypot(nx, ny)
+        if abs(norm - 1.0) > _UNIT_NORMAL_TOL:
+            raise NonUnitNormal(f"halfplane normal must be unit length, |n| = {norm!r}")
+        # 0.0 - x coerces ints and flushes negative zeros
+        return CircleVector(0.0 - nx, 0.0 - ny, 0.0, 0.0 - 2.0 * d.offset)
+    if d.dim < 2:
+        raise BadDimension(f"dimension must be >= 2, got {d.dim!r}")
+    r = d.radius
+    if r == 0.0 or not math.isfinite(r):
+        raise ZeroRadius(f"radius must be finite and nonzero, got {r!r}")
+    s = 0.0
+    for c in d.center:  # left to right, so a disk gives x*x + y*y
+        s += c * c
+    return CircleVector(tuple(c / r for c in d.center), 1.0 / r, (s - r * r) / r)
 
 
 def project(v: CircleVector) -> Disk:
@@ -145,10 +174,9 @@ def normalize(components: Iterable[float]) -> CircleVector:
 
 
 def inner(u, v) -> float:
-    """Minkowski product of two lifted vectors (coords, beta, gamma).
+    """Minkowski product of two lifted vectors (coords, beta, gamma) of any n.
 
-    Planar circle vectors and lifted n-spheres both qualify; vectors of
-    different dimensions raise ValueError.
+    Vectors of different dimensions raise ValueError.
     """
     s = -0.0  # -0.0 - a*b is exactly -(a*b), signed zeros included
     for a, b in zip(u.coords, v.coords, strict=True):
@@ -167,10 +195,11 @@ def inner_geometric(d1: Disk, d2: Disk) -> float:
     r1, r2 = d1.radius, d2.radius
     for r in (r1, r2):
         if r == 0.0 or not math.isfinite(r):
-            raise ZeroRadius(f"circle radius must be finite and nonzero, got {r!r}")
-    dx = d2.center[0] - d1.center[0]
-    dy = d2.center[1] - d1.center[1]
-    return (dx * dx + dy * dy - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
+            raise ZeroRadius(f"radius must be finite and nonzero, got {r!r}")
+    s = 0.0  # balls of different dimensions raise ValueError
+    for a, b in zip(d1.center, d2.center, strict=True):
+        s += (b - a) * (b - a)
+    return (s - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
 
 
 def intersection_angle(d1: Disk, d2: Disk) -> float | None:

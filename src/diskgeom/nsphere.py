@@ -2,64 +2,28 @@
 
 (n-1)-spheres in n-space lift to space-like unit vectors in an
 (n+2)-dimensional Minkowski space exactly as planar disks do for n = 2, so
-the metric, product, Gramian and configuration identity are minkowski's.
-The all-tangent Gramian (diagonal -1, off-diagonal 1) has inverse
-J/(2n) - I/2, and the vanishing curvature-curvature entry of the inverse
-metric turns that into the curvature identity (sum b)^2 = n * sum(b^2).
+the ball type, the lifted vector, the lift, the product, the Gramian and
+the configuration identity are minkowski's; the n-dimensional names below
+are aliases of them.  The all-tangent Gramian (diagonal -1, off-diagonal 1)
+has inverse J/(2n) - I/2, and the vanishing curvature-curvature entry of
+the inverse metric turns that into the curvature identity
+(sum b)^2 = n * sum(b^2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadDimension, ZeroRadius
-from .minkowski import gramian, inner, verify_generalized
-
-
-@dataclass(frozen=True)
-class NSphere:
-    """Sphere in n-space with signed radius; negative marks the enclosing complement."""
-
-    center: tuple[float, ...]
-    radius: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-
-@dataclass(frozen=True)
-class NVector:
-    """Lifted sphere: reduced center coordinates, curvature beta, co-curvature gamma."""
-
-    coords: tuple[float, ...]
-    beta: float
-    gamma: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([*self.coords, self.beta, self.gamma])
-
-
-def lift_sphere(s: NSphere) -> NVector:
-    """Map a sphere to its normalized space-like (n+2)-vector."""
-    if s.dim < 2:
-        raise BadDimension(f"dimension must be >= 2, got {s.dim!r}")
-    r = s.radius
-    if r == 0.0 or not math.isfinite(r):
-        raise ZeroRadius(f"sphere radius must be finite and nonzero, got {r!r}")
-    norm2 = sum(c * c for c in s.center)
-    return NVector(tuple(c / r for c in s.center), 1.0 / r, (norm2 - r * r) / r)
-
+from .errors import BadDimension
+from .minkowski import Circle, CircleVector, gramian, inner, lift, verify_generalized
 
 # the n-dimensional names of the shared kernel
+NSphere = Circle
+NVector = CircleVector
+lift_sphere = lift
 inner_sphere = inner
 gramian_n = gramian
 verify_generalized_n = verify_generalized
@@ -90,7 +54,7 @@ def _simplex_vertices(n: int) -> np.ndarray:
     return math.sqrt(2.0) * h.T
 
 
-def canonical_simplex_config(n: int, outer: bool = False) -> list[NSphere]:
+def canonical_simplex_config(n: int, outer: bool = False) -> list[Circle]:
     """n+1 unit spheres at simplex vertices plus the central tangent sphere.
 
     The central sphere has radius R-1 (inscribed) or -(R+1) (enclosing)
@@ -102,6 +66,6 @@ def canonical_simplex_config(n: int, outer: bool = False) -> list[NSphere]:
     verts = _simplex_vertices(n)
     circumradius = math.sqrt(2.0 * n / (n + 1.0))
     central = -(circumradius + 1.0) if outer else circumradius - 1.0
-    spheres = [NSphere(tuple(float(x) for x in v), 1.0) for v in verts]
-    spheres.append(NSphere((0.0,) * n, central))
+    spheres = [Circle(tuple(float(x) for x in v), 1.0) for v in verts]
+    spheres.append(Circle((0.0,) * n, central))
     return spheres

@@ -227,6 +227,16 @@ class TestGasket:
         assert code == 0
         assert "disks: 20" in capsys.readouterr().out
 
+    def test_non_tangent_document_seed(self, tmp_path, capsys):
+        doc = {
+            "disks": [
+                {"type": "circle", "center": [x, y], "radius": 1.0}
+                for x, y in [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0)]
+            ]
+        }
+        assert main(["gasket", "--input", write_doc(tmp_path, doc), "--depth", "1"]) == 6
+        assert capsys.readouterr().err == "error: disks 0 and 3 are not tangent, residual 23.0\n"
+
     def test_triple_seed(self, tmp_path, capsys):
         code = main(["gasket", "--seed", "1,1,1", "--depth", "0"])
         assert code == 0
@@ -617,13 +627,14 @@ def traced_peak_mb(fn) -> float:
 
 
 # the writers format a bounded number of rows at a time, so their memory does
-# not grow with the 118,100 disks (whole-document writers peaked at 28 and 61 MB)
+# not grow with the 118,100 disks (whole-document writers peaked at 28 and 61 MB);
+# the bound is about twice the measured peaks of 1.42 MB (CSV) and 1.15 MB (SVG)
 def test_csv_writer_memory_is_bounded(depth_10_gasket, tmp_path):
     def write():
         with open(tmp_path / "out.csv", "w", encoding="utf-8", newline="") as fh:
             fh.writelines(cli._csv_chunks(depth_10_gasket.disks))
 
-    assert traced_peak_mb(write) <= 12.0
+    assert traced_peak_mb(write) <= 3.0
 
 
 def test_svg_writer_memory_is_bounded(depth_10_gasket, tmp_path):
@@ -631,7 +642,7 @@ def test_svg_writer_memory_is_bounded(depth_10_gasket, tmp_path):
         with open(tmp_path / "out.svg", "w", encoding="utf-8") as fh:
             fh.writelines(svg_chunks(depth_10_gasket))
 
-    assert traced_peak_mb(write) <= 12.0
+    assert traced_peak_mb(write) <= 3.0
 
 
 # generate writes each level into stores of the final size, so it holds little

@@ -6,6 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from diskgeom import (
+    BadDimension,
     Circle,
     CircleVector,
     ComplexRoots,
@@ -31,6 +32,7 @@ from diskgeom import (
     vieta_reflect,
 )
 from diskgeom.descartes import worst_tangency
+from diskgeom.minkowski import halfplane_geometry
 
 curvature = st.floats(-10.0, 100.0)
 
@@ -111,9 +113,9 @@ def reference_solve_fourth_disk(c1, c2, c3, tol=1e-6):
     triple = (c1, c2, c3)
     rows = np.stack([MINKOWSKI_METRIC @ v.as_array() for v in triple])
     line = reference_solution_line(rows, np.ones(3))
-    resid = tangency_residual(triple)
-    if resid > tol:
-        raise NotTangent(f"triple tangency residual {resid!r} exceeds {tol!r}")
+    worst, (i, j) = worst_tangency(triple)
+    if worst > tol:
+        raise NotTangent(f"disks {i} and {j} are not tangent, residual {worst!r}")
     return reference_roots_on_line(*line)
 
 
@@ -411,3 +413,29 @@ class TestQuadrupleValidate:
         )
         with pytest.raises(NotTangent):
             q.validate()
+
+    def test_non_tangent_names_the_pair(self):
+        corners = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0)]
+        q = Quadruple(tuple(lift(Circle(c, 1.0)) for c in corners))
+        # the diagonal pairs have product (50 - 2) / 2 = 24; (0, 3) comes first
+        with pytest.raises(NotTangent, match=r"^disks 0 and 3 are not tangent, residual 23\.0$"):
+            q.validate()
+
+
+# a lifted 3-sphere: it has no xdot/ydot, so planar-only code must refuse it
+SPHERE = lift(Circle((0.0, 0.0, 3.0), 1.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda v: solve_fourth_disk(v, v, v), id="solve_fourth_disk"),
+        pytest.param(lambda v: tangent_disk_with_curvature(v, v, 1.0), id="tangent_disk_with_curvature"),
+        pytest.param(project, id="project"),
+        pytest.param(lambda v: vieta_reflect(Quadruple((v, v, v, v)), 0), id="vieta_reflect"),
+        pytest.param(halfplane_geometry, id="halfplane_geometry"),
+    ],
+)
+def test_planar_code_rejects_other_dimensions(call):
+    with pytest.raises(BadDimension):
+        call(SPHERE)

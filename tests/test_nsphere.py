@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diskgeom import (
     BadDimension,
@@ -79,6 +81,36 @@ class TestLiftSphere:
     def test_zero_radius_rejected(self):
         with pytest.raises(ZeroRadius):
             lift_sphere(NSphere((0.0, 0.0, 0.0), 0.0))
+
+
+# magnitudes up to 1e100 keep |c|^2 / r, the largest lifted component, finite
+coordinate = st.floats(-1e100, 1e100)
+
+
+@st.composite
+def balls(draw):
+    n = draw(st.integers(2, 8))
+    center = tuple(draw(st.lists(coordinate, min_size=n, max_size=n)))
+    magnitude = draw(st.floats(1e-100, 1e100))
+    return Circle(center, draw(st.sampled_from([1.0, -1.0])) * magnitude)
+
+
+def float64_bytes(values) -> bytes:
+    return np.array(list(values), dtype=np.float64).tobytes()
+
+
+@given(balls())
+def test_lift_is_its_formula_bit_for_bit(ball):
+    """One lift for every n: c_i/r, 1/r and (|c|^2 - r^2)/r with |c|^2 summed left to right."""
+    c, r = ball.center, ball.radius
+    s = 0.0
+    for x in c:
+        s += x * x
+    got = float64_bytes(lift(ball))
+    assert got == float64_bytes([*(x / r for x in c), 1.0 / r, (s - r * r) / r])
+    if ball.dim == 2:  # the planar lift this one replaced
+        x, y = c
+        assert got == float64_bytes([x / r, y / r, 1.0 / r, (x * x + y * y - r * r) / r])
 
 
 class TestVerifyGeneralizedN:
