@@ -12,7 +12,7 @@ from typing import Any, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from ._text import join_rows, repr_rows, text_rows
-from .descartes import Quadruple, descartes_residual, solve_fourth_disk
+from .descartes import TANGENT_TOL, Quadruple, descartes_residual, solve_fourth_disk
 from .errors import (
     ComplexRoots,
     DegenerateTriple,
@@ -289,8 +289,6 @@ def cmd_gasket(args: argparse.Namespace) -> int:
         if kind != "planar" or len(disks) != 4:
             raise DocumentError("gasket documents need exactly 4 planar disks")
         quad = Quadruple(tuple(lift(d) for d in disks))
-    if args.depth is None and args.max_curvature is None and args.max_count is None:
-        raise DocumentError("set at least one of --depth, --max-curvature, --max-count")
     try:
         limits = GenerationLimits(
             max_depth=args.depth,
@@ -325,8 +323,6 @@ def cmd_gasket(args: argparse.Namespace) -> int:
 
 
 def cmd_soddy(args: argparse.Namespace) -> int:
-    if args.dim < 2:
-        raise DocumentError(f"--dim must be >= 2, got {args.dim}")
     expected = args.dim + 2
     if len(args.curvatures) != expected:
         raise DocumentError(
@@ -392,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve4", help="both disks tangent to 3 mutually tangent disks")
     p.add_argument("input", help="JSON document with exactly 3 disks")
-    p.add_argument("--tol", type=float, default=1e-6, help="tangency gate on the input triple")
+    p.add_argument("--tol", type=float, default=TANGENT_TOL, help="tangency gate on the input triple")
     p.set_defaults(func=cmd_solve4)
 
     p = sub.add_parser("gasket", help="grow an Apollonian gasket, emit CSV/SVG")

@@ -17,15 +17,13 @@ from .errors import (
     ComplexRoots,
     DegenerateTriple,
     InvalidIndex,
-    NotNormalized,
     NotTangent,
 )
-from .minkowski import CircleVector, inner, normalize
+from .minkowski import CircleVector, check_normalized, inner, normalize
 
 _RANK_TOL = 1e-10
 _PAIRS_TOL = 1e-12
-_QUADRUPLE_PAIR_TOL = 1e-6
-_QUADRUPLE_NORM_TOL = 1e-9
+TANGENT_TOL = 1e-6  # |<u,v> - 1| of a tangent pair, for validate, solve_fourth_disk and solve4
 
 
 @dataclass(frozen=True)
@@ -43,10 +41,8 @@ class Quadruple:
         if len(self.vectors) != 4:
             raise ValueError(f"expected 4 vectors, got {len(self.vectors)}")
         for k, v in enumerate(self.vectors):
-            s = inner(v, v)
-            if abs(s + 1.0) > _QUADRUPLE_NORM_TOL:
-                raise NotNormalized(f"vector {k} has <v,v> = {s!r}")
-        _check_tangent(self.vectors, _QUADRUPLE_PAIR_TOL)
+            check_normalized(v, f"vector {k} {tuple(v)!r} has ")
+        _check_tangent(self.vectors, TANGENT_TOL)
 
 
 def descartes_residual(a: float, b: float, c: float, d: float) -> float:
@@ -97,7 +93,7 @@ def _check_tangent(vectors: Sequence[CircleVector], tol: float) -> None:
     """Raise NotTangent naming the worst pair when its residual exceeds tol."""
     worst, (i, j) = worst_tangency(vectors)
     if worst > tol:
-        raise NotTangent(f"disks {i} and {j} are not tangent, residual {worst!r}")
+        raise NotTangent(f"disks {i} and {j} are not tangent, residual {worst!r} exceeds {tol!r}")
 
 
 def _solution_line(rows: list[list[float]], rhs: list[float]) -> tuple[list[float], list[float]]:
@@ -134,7 +130,7 @@ def _solution_line(rows: list[list[float]], rhs: list[float]) -> tuple[list[floa
     pivots = [abs(a[k][c]) for k, c in enumerate(pivot_cols)]
     if min(pivots) < _RANK_TOL * max(pivots):
         raise DegenerateTriple(
-            f"pivot ratio {min(pivots) / max(pivots):.3e} below rank tolerance"
+            f"pivot ratio {min(pivots) / max(pivots):.3e} below rank tolerance {_RANK_TOL!r}"
         )
     free_col = free_cols[0]
 
@@ -193,7 +189,7 @@ def _tangency_row(v: CircleVector) -> list[float]:
 
 
 def solve_fourth_disk(
-    c1: CircleVector, c2: CircleVector, c3: CircleVector, tol: float = 1e-6
+    c1: CircleVector, c2: CircleVector, c3: CircleVector, tol: float = TANGENT_TOL
 ) -> tuple[CircleVector, CircleVector]:
     """Both disks tangent to a mutually tangent triple, larger curvature first."""
     triple = (c1, c2, c3)

@@ -20,13 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import join_rows, repr_rows, text_rows
-from .descartes import (
-    Quadruple,
-    descartes_residual,
-    solve_fourth_disk,
-    tangent_disk_with_curvature,
-)
-from .errors import ComplexRoots, DiskGeomError, EmptyGasket, InvalidSeed
+from .descartes import Quadruple, solve_fourth_curvature, solve_fourth_disk, tangent_disk_with_curvature
+from .errors import DiskGeomError, EmptyGasket, InvalidSeed
 from .minkowski import Circle, CircleVector, Halfplane, halfplane_geometry, lift
 
 SPECTRUM_QUANTUM = 1e-7
@@ -265,10 +260,7 @@ def canonical_quadruple(curvatures: Sequence[float]) -> Quadruple:
     ks = [float(k) for k in curvatures]
     if len(ks) not in (3, 4):
         raise InvalidSeed(f"seed needs 3 or 4 curvatures, got {len(ks)}")
-    a, b, c = ks[:3]
-    pairs = a * b + b * c + c * a
-    if pairs < -1e-12:
-        raise ComplexRoots(f"ab+bc+ca = {pairs!r} is negative, seed admits no real quadruple")
+    solve_fourth_curvature(*ks[:3])  # raises ComplexRoots when the triple has no real fourth disk
     order = sorted(range(3), key=lambda i: -ks[i])
     k1, k2, k3 = (ks[i] for i in order)
     if k1 <= 0.0:
@@ -286,13 +278,10 @@ def canonical_quadruple(curvatures: Sequence[float]) -> Quadruple:
     roots = solve_fourth_disk(*triple)
     if len(ks) == 4:
         d = ks[3]
-        scale = max(1.0, sum(abs(k) for k in ks) ** 2)
-        resid = descartes_residual(a, b, c, d)
-        if abs(resid) > 1e-6 * scale:
-            raise InvalidSeed(f"curvatures violate the tangency relation, residual {resid!r}")
         fourth = min(roots, key=lambda v: abs(v.beta - d))
-        if abs(fourth.beta - d) > 1e-6 * max(1.0, abs(d)):
-            raise InvalidSeed(f"fourth curvature {d!r} matches neither tangent root")
+        bound = 1e-6 * max(1.0, abs(d))
+        if abs(fourth.beta - d) > bound:
+            raise InvalidSeed(f"fourth curvature {d!r} matches neither tangent root within {bound!r}")
     else:
         fourth = roots[1]
     return Quadruple((*triple, fourth))

@@ -57,7 +57,7 @@ MINKOWSKI_METRIC = minkowski_metric(2)
 MINKOWSKI_METRIC_INV = minkowski_metric_inv(2)
 
 _UNIT_NORMAL_TOL = 1e-12
-_PROJECT_TOL = 1e-6
+NORM_TOL = 1e-6  # |<v,v> + 1| of a normalized vector, for project and Quadruple.validate
 _SPACELIKE_TOL = 1e-12
 _SINGULAR_GATE = 1e-12
 
@@ -147,9 +147,7 @@ def lift(d: Disk) -> CircleVector:
 
 def project(v: CircleVector) -> Disk:
     """Invert the lift; beta == 0 exactly maps back to a halfplane."""
-    s = inner(v, v)
-    if abs(s + 1.0) > _PROJECT_TOL:
-        raise NotNormalized(f"<v,v> = {s!r}, expected -1")
+    check_normalized(v)
     if v.beta != 0.0:
         r = 1.0 / v.beta
         return Circle((v.xdot * r, v.ydot * r), r)
@@ -163,14 +161,24 @@ def halfplane_geometry(v: CircleVector) -> tuple[float, float, float]:
     return -v.xdot / norm, -v.ydot / norm, -0.5 * v.gamma / norm
 
 
+def check_normalized(v: CircleVector, what: str = "") -> None:
+    """Raise NotNormalized, its message led by what, unless |<v,v> + 1| <= NORM_TOL."""
+    s = inner(v, v)
+    if abs(s + 1.0) > NORM_TOL:
+        raise NotNormalized(f"{what}<v,v> = {s!r}, expected -1 within {NORM_TOL!r}")
+
+
 def normalize(components: Iterable[float]) -> CircleVector:
-    """Scale a raw space-like 4-vector to self-product -1, preserving orientation."""
-    x, y, b, g = (float(c) for c in components)
-    s = -(x * x) - y * y + b * g
+    """Scale a raw space-like (n+2)-vector, n >= 2, to self-product -1, preserving orientation."""
+    xs = [float(c) for c in components]
+    if len(xs) < 4:
+        raise BadDimension(f"need n+2 >= 4 components, got {len(xs)}")
+    v = CircleVector(*xs)
+    s = inner(v, v)
     if s >= -_SPACELIKE_TOL:
         raise NotSpacelike(f"<v,v> = {s!r} is not negative")
     scale = 1.0 / math.sqrt(-s)
-    return CircleVector(x * scale, y * scale, b * scale, g * scale)
+    return CircleVector(*[x * scale for x in xs])
 
 
 def inner(u, v) -> float:

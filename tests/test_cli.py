@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -49,6 +51,14 @@ EQUILATERAL_QUAD_DOC = {
             "center": [1.0, 1.0 / math.sqrt(3.0)],
             "radius": 2.0 / math.sqrt(3.0) - 1.0,
         }
+    ]
+}
+
+# four unit circles at the corners of a square of side 5
+NON_TANGENT_QUAD_DOC = {
+    "disks": [
+        {"type": "circle", "center": [x, y], "radius": 1.0}
+        for x, y in [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0)]
     ]
 }
 
@@ -186,7 +196,7 @@ class TestSolve4:
         code = main(["solve4", write_doc(tmp_path, doc)])
         err = capsys.readouterr().err
         assert code == 4
-        assert err == "error: disks 1 and 2 are not tangent, residual 23.0\n"
+        assert err == "error: disks 1 and 2 are not tangent, residual 23.0 exceeds 1e-06\n"
 
     def test_repeated_disk(self, tmp_path):
         doc = {"disks": [TRIPLE_DOC["disks"][0]] * 2 + [TRIPLE_DOC["disks"][1]]}
@@ -228,14 +238,44 @@ class TestGasket:
         assert "disks: 20" in capsys.readouterr().out
 
     def test_non_tangent_document_seed(self, tmp_path, capsys):
-        doc = {
-            "disks": [
-                {"type": "circle", "center": [x, y], "radius": 1.0}
-                for x, y in [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0)]
-            ]
-        }
-        assert main(["gasket", "--input", write_doc(tmp_path, doc), "--depth", "1"]) == 6
-        assert capsys.readouterr().err == "error: disks 0 and 3 are not tangent, residual 23.0\n"
+        assert main(["gasket", "--input", write_doc(tmp_path, NON_TANGENT_QUAD_DOC), "--depth", "1"]) == 6
+        err = capsys.readouterr().err
+        assert err == "error: disks 0 and 3 are not tangent, residual 23.0 exceeds 1e-06\n"
+
+    @pytest.mark.parametrize(
+        "scale, code, err",
+        [
+            # lifted, these miss <v,v> = -1 by up to 1.5e-8: within the 1e-6 of project and validate
+            (1e-2, 0, ""),
+            # and these by 1.9e-6, past it
+            (1e-3, 6, "error: vector 1 (60002.0, 80000.0, 1000.0, 10000240.002999999) has "
+             "<v,v> = -1.0000019073486328, expected -1 within 1e-06\n"),
+        ],
+    )
+    def test_document_seed_normalization_gate(self, scale, code, err, tmp_path, capsys):
+        disks = []
+        for d in EQUILATERAL_QUAD_DOC["disks"]:
+            (x, y), r = d["center"], d["radius"]
+            center = [x * scale + 60.0, y * scale + 80.0]
+            disks.append({"type": "circle", "center": center, "radius": r * scale})
+        assert main(["gasket", "--input", write_doc(tmp_path, {"disks": disks}), "--depth", "1"]) == code
+        assert capsys.readouterr().err == err
+
+    def test_document_seed_needs_four_disks(self, tmp_path, capsys):
+        assert main(["gasket", "--input", write_doc(tmp_path, TRIPLE_DOC), "--depth", "1"]) == 2
+        assert capsys.readouterr().err == "error: gasket documents need exactly 4 planar disks\n"
+
+    @pytest.mark.parametrize(
+        "seed, fragment",
+        [
+            ("1,x,2", "invalid --seed value '1,x,2'"),
+            ("1,2", "--seed needs 3 or 4 comma-separated curvatures, got 2"),
+            ("inf,1,1", "--seed curvatures must be finite"),
+        ],
+    )
+    def test_bad_seed_argument(self, seed, fragment, capsys):
+        assert main(["gasket", "--seed", seed, "--depth", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {fragment}")
 
     def test_triple_seed(self, tmp_path, capsys):
         code = main(["gasket", "--seed", "1,1,1", "--depth", "0"])
@@ -358,6 +398,15 @@ class TestSoddy:
     def test_wrong_count(self, capsys):
         assert main(["soddy", "--dim", "3", "--", "1", "1", "1"]) == 2
 
+    def test_dimension_below_two(self, capsys):
+        # n + 2 = 3 curvatures for n = 1, so the count passes and the dimension is refused
+        assert main(["soddy", "--dim", "1", "1", "1", "1"]) == 2
+        assert capsys.readouterr().err == "error: dimension must be >= 2, got 1\n"
+
+    def test_infinite_curvature(self, capsys):
+        assert main(["soddy", "--dim", "2", "--", "inf", "1", "1", "1"]) == 2
+        assert capsys.readouterr().err == "error: curvatures must be finite\n"
+
 
 class TestLiftProject:
     def test_lift_circle(self, capsys):
@@ -413,12 +462,32 @@ class TestLiftProject:
     def test_project_lightlike(self, capsys):
         assert main(["project", "0", "0", "1", "0"]) == 7
 
+    def test_project_halfplane_json(self, capsys):
+        assert main(["project", "0", "-1", "0", "0", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"type": "halfplane", "normal": [0.0, 1.0], "offset": 0.0, "schema_version": 1}
+
+    @pytest.mark.parametrize(
+        "argv, command",
+        [
+            (["lift", "circle", "inf", "0", "1"], "lift"),
+            (["lift", "halfplane", "0", "1", "inf"], "lift"),
+            (["project", "inf", "0", "1", "0"], "project"),
+        ],
+    )
+    def test_infinite_argument(self, argv, command, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {command} arguments must be finite\n"
+
     def test_roundtrip_formats_compose(self, capsys):
         main(["lift", "circle", "0.5", "-2.5", "3"])
         vector = capsys.readouterr().out.split()
         main(["project", *vector])
         disk = capsys.readouterr().out.split()
         assert disk == ["circle", "0.5", "-2.5", "3"]
+
+
+UNIT_CIRCLE = '{"type": "circle", "center": [0, 0], "radius": 1}'
 
 
 class TestParsing:
@@ -447,6 +516,30 @@ class TestParsing:
         doc = {"dim": 3, "disks": [SPHERE_DOC["disks"][0]] * 4}
         assert main(["verify", write_doc(tmp_path, doc)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("[]", "document root must be an object"),
+            ("{}", "document must hold a non-empty 'disks' array"),
+            ('{"disks": []}', "document must hold a non-empty 'disks' array"),
+            ('{"disks": [{"center": [0, 0], "radius": 1}]}', "disk 0 must be an object with a 'type' field"),
+            ('{"disks": [{"type": "ellipse"}]}', "unknown disk type 'ellipse'"),
+            ('{"dim": 3, "disks": [%s]}' % UNIT_CIRCLE, "planar documents must have dim 2"),
+            ('{"disks": [%s]}' % UNIT_CIRCLE.replace("1}", '"1"}'), "disk 0 radius must be a number"),
+            # JSON reads 1e999 as inf without a non-finite token
+            ('{"disks": [%s]}' % UNIT_CIRCLE.replace("1}", "1e999}"), "disk 0 radius must be finite"),
+            (
+                '{"disks": [%s]}' % UNIT_CIRCLE.replace("[0, 0]", "[0, 0, 0]"),
+                "disk 0 center must be an array of 2 numbers",
+            ),
+        ],
+    )
+    def test_malformed_document(self, text, fragment, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {fragment}")
+
 
 # sha256 of `gasket --seed S --depth 8 --csv --svg` (13,124 disks each); the
 # 0,0,1,1 seed covers the halfplane rows and lines
@@ -468,6 +561,38 @@ GOLDEN_DEPTH_8 = {
         "c12a3b1f27c080e005156708b9694dc21692fdaf6774d4052fe64981fbd5ff8d",
     ),
 }
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """Run `python -m diskgeom.cli` on argv in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = [sys.executable, "-m", "diskgeom.cli", *argv]
+    return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+
+def test_module_run_matches_main(tmp_path, capsys):
+    outputs = []
+    for run in ("module", "main"):
+        csv_path, svg_path = tmp_path / f"{run}.csv", tmp_path / f"{run}.svg"
+        argv = ["gasket", "--seed", "-1,2,2,3", "--depth", "4"]
+        argv += ["--csv", str(csv_path), "--svg", str(svg_path)]
+        if run == "module":
+            done = run_module(*argv)
+            assert (done.returncode, done.stderr) == (0, "")
+            out = done.stdout
+        else:
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+        outputs.append((out, csv_path.read_bytes(), svg_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].startswith("disks: 164\n")
+
+
+def test_module_run_error_exit(tmp_path):
+    done = run_module("gasket", "--input", write_doc(tmp_path, NON_TANGENT_QUAD_DOC), "--depth", "1")
+    assert done.returncode == 6
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_DEPTH_8))

@@ -14,6 +14,7 @@ from diskgeom import (
     DiskGeomError,
     Halfplane,
     InvalidIndex,
+    NotNormalized,
     NotTangent,
     Quadruple,
     MINKOWSKI_METRIC,
@@ -66,7 +67,7 @@ def reference_solution_line(rows, rhs):
     pivots = [abs(a[k, c]) for k, c in enumerate(pivot_cols)]
     if min(pivots) < 1e-10 * max(pivots):
         raise DegenerateTriple(
-            f"pivot ratio {min(pivots) / max(pivots):.3e} below rank tolerance"
+            f"pivot ratio {min(pivots) / max(pivots):.3e} below rank tolerance 1e-10"
         )
     free_col = free_cols[0]
 
@@ -115,7 +116,7 @@ def reference_solve_fourth_disk(c1, c2, c3, tol=1e-6):
     line = reference_solution_line(rows, np.ones(3))
     worst, (i, j) = worst_tangency(triple)
     if worst > tol:
-        raise NotTangent(f"disks {i} and {j} are not tangent, residual {worst!r}")
+        raise NotTangent(f"disks {i} and {j} are not tangent, residual {worst!r} exceeds {tol!r}")
     return reference_roots_on_line(*line)
 
 
@@ -322,6 +323,13 @@ class TestSolveFourthDisk:
         with pytest.raises(DegenerateTriple):
             solve_fourth_disk(v, v, w)
 
+    def test_nearly_repeated_disk_names_the_rank_bound(self):
+        v = lift(Circle((0.0, 0.0), 1.0))
+        w = lift(Circle((2.0, 0.0), 1.0))
+        nearly_w = lift(Circle((2.0, 1e-12), 1.0))
+        with pytest.raises(DegenerateTriple, match=r"^pivot ratio 5\.000e-13 below rank tolerance 1e-10$"):
+            solve_fourth_disk(v, w, nearly_w)
+
     def test_not_tangent_rejected(self):
         with pytest.raises(NotTangent):
             solve_fourth_disk(
@@ -418,8 +426,20 @@ class TestQuadrupleValidate:
         corners = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0)]
         q = Quadruple(tuple(lift(Circle(c, 1.0)) for c in corners))
         # the diagonal pairs have product (50 - 2) / 2 = 24; (0, 3) comes first
-        with pytest.raises(NotTangent, match=r"^disks 0 and 3 are not tangent, residual 23\.0$"):
+        message = r"^disks 0 and 3 are not tangent, residual 23\.0 exceeds 1e-06$"
+        with pytest.raises(NotTangent, match=message):
             q.validate()
+
+    def test_three_vectors_rejected(self, int_quadruple):
+        with pytest.raises(ValueError, match="expected 4 vectors, got 3"):
+            Quadruple(int_quadruple.vectors[:3]).validate()
+
+    def test_unnormalized_vector_names_vector_and_bound(self, int_quadruple):
+        vectors = list(int_quadruple.vectors)
+        vectors[2] = CircleVector(*(2.0 * x for x in vectors[2]))
+        with pytest.raises(NotNormalized) as info:
+            Quadruple(tuple(vectors)).validate()
+        assert str(info.value) == f"vector 2 {tuple(vectors[2])!r} has <v,v> = -4.0, expected -1 within 1e-06"
 
 
 # a lifted 3-sphere: it has no xdot/ydot, so planar-only code must refuse it

@@ -19,6 +19,7 @@ from diskgeom import (
     Quadruple,
     canonical_quadruple,
     curvature_spectrum,
+    descartes_residual,
     generate,
     inner,
     lift,
@@ -139,7 +140,8 @@ class TestCanonicalQuadruple:
         quad.validate()
 
     def test_negative_pair_sum_rejected(self):
-        with pytest.raises(ComplexRoots):
+        # the gate of solve_fourth_curvature, which canonical_quadruple calls
+        with pytest.raises(ComplexRoots, match=r"^ab\+bc\+ca = -1\.0 is negative, no real fourth curvature$"):
             canonical_quadruple((1.0, 1.0, -1.0))
 
     def test_scaleless_seed_rejected(self):
@@ -149,6 +151,15 @@ class TestCanonicalQuadruple:
     def test_inconsistent_fourth_rejected(self):
         with pytest.raises(InvalidSeed):
             canonical_quadruple((1.0, 1.0, 1.0, 5.0))
+
+    def test_near_miss_fourth_fails_the_root_match(self):
+        # the Descartes residual, -1e-6, is small beside the seed's scale (sum |k|)^2 = 64,
+        # so only the root match, within 1e-6 * |k4|, tells 3.001 from the root 3
+        ks = (-1.0, 2.0, 2.0, 3.001)
+        assert abs(descartes_residual(*ks)) < 1e-6 * 64.0
+        message = r"^fourth curvature 3\.001 matches neither tangent root within 3\.0009"
+        with pytest.raises(InvalidSeed, match=message):
+            canonical_quadruple(ks)
 
     def test_wrong_count_rejected(self):
         with pytest.raises(InvalidSeed):
@@ -160,6 +171,19 @@ class TestGenerate:
         g = generate(int_quadruple, depth_limit(0))
         assert len(g.disks) == 4
         assert [d.depth for d in g.disks] == [0, 0, 0, 0]
+
+    def test_disks_take_negative_indices_and_slices(self, int_quadruple):
+        g = generate(int_quadruple, depth_limit(2))
+        disks = list(g.disks)
+        assert g.disks[-1] == disks[-1] and g.disks[-len(disks)] == disks[0]
+        assert g.disks[2:9:3] == tuple(disks[2:9:3])
+        with pytest.raises(IndexError):
+            g.disks[-len(disks) - 1]
+
+    def test_depth_past_any_array_needs_a_count_limit(self, int_quadruple):
+        message = r"^cannot allocate the arrays of 4 \+ 2 \* \(3\*\*41 - 1\) disks$"
+        with pytest.raises(DiskGeomError, match=message):
+            generate(int_quadruple, GenerationLimits(max_depth=41))
 
     def test_depth_one_census(self, int_quadruple):
         g = generate(int_quadruple, depth_limit(1))

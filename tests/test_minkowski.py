@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from diskgeom import (
     MINKOWSKI_METRIC,
     MINKOWSKI_METRIC_INV,
+    BadDimension,
     Circle,
     CircleVector,
     DegenerateConfiguration,
@@ -133,6 +134,10 @@ class TestProject:
         with pytest.raises(NotNormalized):
             project(v)
 
+    def test_normalization_error_names_the_bound(self):
+        with pytest.raises(NotNormalized, match=r"^<v,v> = -4\.0, expected -1 within 1e-06$"):
+            project(CircleVector(0.0, 0.0, 2.0, -2.0))
+
     @given(halfplanes())
     def test_halfplane_roundtrip_property(self, hp):
         back = project(lift(hp))
@@ -159,6 +164,32 @@ class TestNormalize:
     def test_timelike_rejected(self):
         with pytest.raises(NotSpacelike):
             normalize((0, 0, 1, 1))
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+    def test_planar_matches_the_four_component_formula(self, components):
+        # the planar formula normalize had before it took every n: same bits, signed zeros too
+        x, y, b, g = components
+        s = -(x * x) - y * y + b * g
+        if s >= -1e-12:
+            with pytest.raises(NotSpacelike):
+                normalize(components)
+            return
+        scale = 1.0 / math.sqrt(-s)
+        want = np.array([x * scale, y * scale, b * scale, g * scale])
+        assert np.array(tuple(normalize(components))).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_scaled_lift_of_every_dimension(self, n):
+        v = lift(Circle(tuple(0.5 * k - 1.0 for k in range(n)), 0.75))
+        got = normalize([2.0 * x for x in v])
+        assert got.dim == n
+        # the lift itself is normalized only to its rounding, eps * |c|^2 / r^2
+        budget = 64.0 * EPS * (1.0 + sum(c * c for c in v.coords))
+        assert np.allclose(got.as_array(), v.as_array(), rtol=budget, atol=0.0)
+
+    def test_too_few_components(self):
+        with pytest.raises(BadDimension, match="need n\\+2 >= 4 components, got 3"):
+            normalize((0.0, 1.0, -1.0))
 
 
 class TestInner:
@@ -374,3 +405,18 @@ def test_mixed_dimensions_rejected():
         gramian([*planar, sphere])
     with pytest.raises(ValueError):
         verify_generalized([*planar, sphere])
+
+
+def test_lift_rejects_one_dimension():
+    with pytest.raises(BadDimension, match="dimension must be >= 2, got 1"):
+        lift(Circle((1.0,), 1.0))
+
+
+def test_gramian_of_nothing():
+    with pytest.raises(ValueError, match="no vectors given"):
+        gramian([])
+
+
+def test_invert_matrix_rejects_non_square():
+    with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)"):
+        invert_matrix(np.ones((2, 3)))
