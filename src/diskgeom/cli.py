@@ -7,11 +7,10 @@ import json
 import math
 import os
 import sys
-from typing import Any, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._text import join_rows, repr_rows, text_rows
 from .descartes import TANGENT_TOL, Quadruple, descartes_residual, solve_fourth_disk
 from .errors import (
     ComplexRoots,
@@ -23,24 +22,8 @@ from .errors import (
     NotTangent,
     SingularMatrix,
 )
-from .gasket import (
-    CHUNK_ROWS,
-    GasketDisks,
-    GenerationLimits,
-    canonical_quadruple,
-    generate,
-    svg_chunks,
-)
-from .minkowski import (
-    Circle,
-    CircleVector,
-    Disk,
-    Halfplane,
-    configuration_identity,
-    halfplane_geometry,
-    lift,
-    project,
-)
+from .gasket import GenerationLimits, canonical_quadruple, csv_chunks, generate, svg_chunks
+from .minkowski import Circle, CircleVector, Disk, Halfplane, configuration_identity, lift, project
 from .nsphere import soddy_gosset_residual
 
 SCHEMA_VERSION = 1
@@ -148,9 +131,11 @@ def load_document(path: str) -> tuple[str, int, list[Disk]]:
 
 
 def disk_record(d: Disk) -> dict:
+    # + 0.0 flushes negative zeros, as the text mode and the CSV do
     if isinstance(d, Circle):
-        return {"type": "circle", "center": [d.center[0], d.center[1]], "radius": d.radius}
-    return {"type": "halfplane", "normal": [d.normal[0], d.normal[1]], "offset": d.offset}
+        return {"type": "circle", "center": [d.center[0] + 0.0, d.center[1] + 0.0], "radius": d.radius}
+    nx, ny = d.normal
+    return {"type": "halfplane", "normal": [nx + 0.0, ny + 0.0], "offset": d.offset + 0.0}
 
 
 def _print_matrix(name: str, m: np.ndarray) -> None:
@@ -170,13 +155,7 @@ def _emit_json(obj: dict) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    kind, dim, disks = load_document(args.input)
-    if len(disks) != dim + 2:
-        raise DocumentError(
-            f"expected 4 disks, got {len(disks)}"
-            if kind == "planar"
-            else f"expected n+2 = {dim + 2} spheres for dim {dim}, got {len(disks)}"
-        )
+    _, _, disks = load_document(args.input)
     f, finv, residual = configuration_identity([lift(d) for d in disks])
     passed = residual <= args.tol
     if args.json:
@@ -226,28 +205,9 @@ def _parse_seed(text: str) -> list[float]:
     return values
 
 
-def _csv_chunks(disks: GasketDisks) -> Iterator[str]:
-    """The gasket CSV in pieces of at most CHUNK_ROWS rows each."""
-    yield "depth,curvature,x,y\n"
-    depth_text = text_rows([str(d) for d in range(disks.depths.max(initial=0) + 1)])
-    for lo in range(0, len(disks), CHUNK_ROWS):
-        vectors = disks.vectors[lo : lo + CHUNK_ROWS]
-        beta = vectors[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # + 0.0 flushes negative zeros out of the output
-            fields = np.vstack([beta, vectors[:, :2].T / beta + 0.0])  # curvature, x, y
-        for k in np.flatnonzero(beta == 0.0).tolist():
-            # boundary anchor point of the halfplane
-            nx, ny, offset = halfplane_geometry(CircleVector(*vectors[k].tolist()))
-            fields[1:, k] = nx * offset, ny * offset
-        # every field is an int or a float repr, so no field ever needs CSV quoting
-        b, x, y = map(repr_rows, fields)
-        yield from join_rows(depth_text[disks.depths[lo : lo + CHUNK_ROWS]], ",", b, ",", x, ",", y, "\n")
-
-
-def _open_output(path: str, newline: str | None = None) -> TextIO:
+def _open_output(path: str) -> TextIO:
     try:
-        return open(path, "w", encoding="utf-8", newline=newline)
+        return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise DocumentError(f"cannot write {path}: {exc}") from exc
 
@@ -289,30 +249,23 @@ def cmd_gasket(args: argparse.Namespace) -> int:
         if kind != "planar" or len(disks) != 4:
             raise DocumentError("gasket documents need exactly 4 planar disks")
         quad = Quadruple(tuple(lift(d) for d in disks))
-    try:
-        limits = GenerationLimits(
-            max_depth=args.depth,
-            max_curvature=args.max_curvature,
-            max_count=args.max_count,
-        )
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    limits = GenerationLimits(max_depth=args.depth, max_curvature=args.max_curvature, max_count=args.max_count)
     result = generate(quad, limits)
     # svg_chunks does its array work, and raises EmptyGasket, before a file is opened
     svg = svg_chunks(result, args.fill_by_depth) if args.svg else None
     if args.csv and args.svg and hasattr(os, "fork"):
         # both writers are bound by float formatting, so the SVG takes the second core
-        with _open_output(args.csv, newline="") as csv_fh, _open_output(args.svg) as svg_fh:
+        with _open_output(args.csv) as csv_fh, _open_output(args.svg) as svg_fh:
             pid = _write_in_child(svg_fh, svg)
             try:
-                _write_output(csv_fh, _csv_chunks(result.disks))
+                _write_output(csv_fh, csv_chunks(result))
             finally:
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code:
             raise DocumentError(f"cannot write {args.svg}: writer process exited with status {code}")
     else:
         if args.csv:
-            _write_output(_open_output(args.csv, newline=""), _csv_chunks(result.disks))
+            _write_output(_open_output(args.csv), csv_chunks(result))
         if args.svg:
             _write_output(_open_output(args.svg), svg)
     # 1/x rounds monotonically, so the largest |curvature| gives the smallest radius
@@ -323,11 +276,6 @@ def cmd_gasket(args: argparse.Namespace) -> int:
 
 
 def cmd_soddy(args: argparse.Namespace) -> int:
-    expected = args.dim + 2
-    if len(args.curvatures) != expected:
-        raise DocumentError(
-            f"expected n+2 = {expected} curvatures for dim {args.dim}, got {len(args.curvatures)}"
-        )
     if not all(math.isfinite(b) for b in args.curvatures):
         raise DocumentError("curvatures must be finite")
     residual = soddy_gosset_residual(args.curvatures, args.dim)
@@ -340,10 +288,8 @@ def cmd_soddy(args: argparse.Namespace) -> int:
 
 def cmd_lift(args: argparse.Namespace) -> int:
     a, b, c = args.values
-    if not all(math.isfinite(v) for v in args.values):
-        raise DocumentError("lift arguments must be finite")
     if args.kind == "circle":
-        disk: Disk = Circle((a, b), c)
+        disk: Disk = _parse_circle({"center": [a, b], "radius": c}, "circle", 2)
     else:
         disk = _parse_halfplane({"normal": [a, b], "offset": c}, "halfplane")
     v = lift(disk)
@@ -429,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# every other error, such as ZeroRadius or EmptyGasket, exits EXIT_PARSE
+# every other error, such as a ValueError, ZeroRadius or EmptyGasket, exits EXIT_PARSE
 _ERROR_CODES: list[tuple[type, int]] = [
     (SingularMatrix, EXIT_DEGENERATE_CONFIG),
     (NonFiniteOutput, EXIT_DEGENERATE_CONFIG),
@@ -461,7 +407,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
         return args.func(args)
-    except (DocumentError, DiskGeomError) as exc:
+    except (ValueError, DiskGeomError) as exc:  # ValueError: the library's invalid arguments
         print(f"error: {exc}", file=sys.stderr)
         codes = (code for err_type, code in _ERROR_CODES if isinstance(exc, err_type))
         return next(codes, EXIT_PARSE)

@@ -20,7 +20,9 @@ from .errors import (
     NotTangent,
 )
 from .minkowski import CircleVector, check_normalized, inner, normalize
+from .nsphere import soddy_gosset_residual
 
+# every gate is written "not x <= bound", so that a nan fails it
 _RANK_TOL = 1e-10
 _PAIRS_TOL = 1e-12
 TANGENT_TOL = 1e-6  # |<u,v> - 1| of a tangent pair, for validate, solve_fourth_disk and solve4
@@ -46,9 +48,8 @@ class Quadruple:
 
 
 def descartes_residual(a: float, b: float, c: float, d: float) -> float:
-    """(a+b+c+d)^2 - 2(a^2+b^2+c^2+d^2); zero exactly on tangent quadruples."""
-    s = a + b + c + d
-    return s * s - 2.0 * (a * a + b * b + c * c + d * d)
+    """(a+b+c+d)^2 - 2(a^2+b^2+c^2+d^2), the Soddy-Gosset residual at n = 2; zero on tangent quadruples."""
+    return soddy_gosset_residual((a, b, c, d), 2)
 
 
 def solve_fourth_curvature(a: float, b: float, c: float) -> tuple[float, float]:
@@ -58,7 +59,7 @@ def solve_fourth_curvature(a: float, b: float, c: float) -> tuple[float, float]:
     product of roots, so nearly cancelling sums do not lose precision.
     """
     pairs = a * b + b * c + c * a
-    if pairs < -_PAIRS_TOL:
+    if not pairs >= -_PAIRS_TOL:
         raise ComplexRoots(f"ab+bc+ca = {pairs!r} is negative, no real fourth curvature")
     root = 2.0 * math.sqrt(max(pairs, 0.0))
     s = a + b + c
@@ -77,13 +78,15 @@ def tangency_residual(vectors: Sequence[CircleVector]) -> float:
 
 
 def worst_tangency(vectors: Sequence[CircleVector]) -> tuple[float, tuple[int, int]]:
-    """Largest |<u,v> - 1| over distinct pairs, and the first pair that attains it."""
+    """Largest |<u,v> - 1| over distinct pairs, and the first pair that attains it; nan is the largest."""
     if len(vectors) not in (3, 4):
         raise ValueError(f"expected 3 or 4 vectors, got {len(vectors)}")
     worst, pair = 0.0, (0, 1)
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
             r = abs(inner(vectors[i], vectors[j]) - 1.0)
+            if math.isnan(r):  # no pair is worse
+                return r, (i, j)
             if r > worst:
                 worst, pair = r, (i, j)
     return worst, pair
@@ -92,7 +95,7 @@ def worst_tangency(vectors: Sequence[CircleVector]) -> tuple[float, tuple[int, i
 def _check_tangent(vectors: Sequence[CircleVector], tol: float) -> None:
     """Raise NotTangent naming the worst pair when its residual exceeds tol."""
     worst, (i, j) = worst_tangency(vectors)
-    if worst > tol:
+    if not worst <= tol:
         raise NotTangent(f"disks {i} and {j} are not tangent, residual {worst!r} exceeds {tol!r}")
 
 
@@ -117,7 +120,7 @@ def _solution_line(rows: list[list[float]], rhs: list[float]) -> tuple[list[floa
                     best_val = v
                     best = (i, j)
         i, j = best
-        if best_val <= 0.0:
+        if not best_val > 0.0:
             raise DegenerateTriple("tangency constraints are rank deficient")
         a[k], a[i] = a[i], a[k]
         pivot_row = a[k]
@@ -128,7 +131,7 @@ def _solution_line(rows: list[list[float]], rhs: list[float]) -> tuple[list[floa
         pivot_cols.append(j)
         free_cols.remove(j)
     pivots = [abs(a[k][c]) for k, c in enumerate(pivot_cols)]
-    if min(pivots) < _RANK_TOL * max(pivots):
+    if not min(pivots) >= _RANK_TOL * max(pivots):
         raise DegenerateTriple(
             f"pivot ratio {min(pivots) / max(pivots):.3e} below rank tolerance {_RANK_TOL!r}"
         )
@@ -165,7 +168,7 @@ def _roots_on_line(point: list[float], direction: list[float]) -> tuple[CircleVe
     c0 = inner(p, p) + 1.0
     disc = b * b - alpha * c0
     gate = 1e-12 * max(1.0, b * b, abs(alpha * c0))
-    if disc < -gate:
+    if not disc >= -gate:
         raise ComplexRoots(f"discriminant {disc!r} is negative")
     sq = math.sqrt(max(disc, 0.0))
     q = -(b + math.copysign(sq, b))

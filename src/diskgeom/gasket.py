@@ -280,7 +280,7 @@ def canonical_quadruple(curvatures: Sequence[float]) -> Quadruple:
         d = ks[3]
         fourth = min(roots, key=lambda v: abs(v.beta - d))
         bound = 1e-6 * max(1.0, abs(d))
-        if abs(fourth.beta - d) > bound:
+        if not abs(fourth.beta - d) <= bound:
             raise InvalidSeed(f"fourth curvature {d!r} matches neither tangent root within {bound!r}")
     else:
         fourth = roots[1]
@@ -370,3 +370,23 @@ def svg_chunks(g: Gasket, fill_by_depth: bool = False) -> Iterator[str]:
         return join_rows('<circle cx="', x, '" cy="', y, '" r="', rr, '" fill="', fill, f'" {stroke}')
 
     return itertools.chain(head, itertools.chain.from_iterable(map(circles, circle_chunks())), ["</svg>\n"])
+
+
+def csv_chunks(g: Gasket) -> Iterator[str]:
+    """The gasket CSV, depth,curvature,x,y, in pieces of at most CHUNK_ROWS rows each."""
+    disks = g.disks
+    yield "depth,curvature,x,y\n"
+    depth_text = text_rows([str(d) for d in range(disks.depths.max(initial=0) + 1)])
+    for lo in range(0, len(disks), CHUNK_ROWS):
+        vectors = disks.vectors[lo : lo + CHUNK_ROWS]
+        beta = vectors[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # + 0.0 flushes negative zeros out of the output
+            fields = np.vstack([beta, vectors[:, :2].T / beta + 0.0])  # curvature, x, y
+        for k in np.flatnonzero(beta == 0.0).tolist():
+            # boundary anchor point of the halfplane
+            nx, ny, offset = halfplane_geometry(CircleVector(*vectors[k].tolist()))
+            fields[1:, k] = nx * offset, ny * offset
+        # every field is an int or a float repr, so no field ever needs CSV quoting
+        b, x, y = map(repr_rows, fields)
+        yield from join_rows(depth_text[disks.depths[lo : lo + CHUNK_ROWS]], ",", b, ",", x, ",", y, "\n")

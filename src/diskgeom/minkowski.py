@@ -56,6 +56,7 @@ def minkowski_metric_inv(n: int) -> np.ndarray:
 MINKOWSKI_METRIC = minkowski_metric(2)
 MINKOWSKI_METRIC_INV = minkowski_metric_inv(2)
 
+# every gate is written "not x <= bound", so that a nan fails it
 _UNIT_NORMAL_TOL = 1e-12
 NORM_TOL = 1e-6  # |<v,v> + 1| of a normalized vector, for project and Quadruple.validate
 _SPACELIKE_TOL = 1e-12
@@ -130,7 +131,7 @@ def lift(d: Disk) -> CircleVector:
     if isinstance(d, Halfplane):
         nx, ny = d.normal
         norm = math.hypot(nx, ny)
-        if abs(norm - 1.0) > _UNIT_NORMAL_TOL:
+        if not abs(norm - 1.0) <= _UNIT_NORMAL_TOL:
             raise NonUnitNormal(f"halfplane normal must be unit length, |n| = {norm!r}")
         # 0.0 - x coerces ints and flushes negative zeros
         return CircleVector(0.0 - nx, 0.0 - ny, 0.0, 0.0 - 2.0 * d.offset)
@@ -164,7 +165,7 @@ def halfplane_geometry(v: CircleVector) -> tuple[float, float, float]:
 def check_normalized(v: CircleVector, what: str = "") -> None:
     """Raise NotNormalized, its message led by what, unless |<v,v> + 1| <= NORM_TOL."""
     s = inner(v, v)
-    if abs(s + 1.0) > NORM_TOL:
+    if not abs(s + 1.0) <= NORM_TOL:
         raise NotNormalized(f"{what}<v,v> = {s!r}, expected -1 within {NORM_TOL!r}")
 
 
@@ -175,7 +176,7 @@ def normalize(components: Iterable[float]) -> CircleVector:
         raise BadDimension(f"need n+2 >= 4 components, got {len(xs)}")
     v = CircleVector(*xs)
     s = inner(v, v)
-    if s >= -_SPACELIKE_TOL:
+    if not s < -_SPACELIKE_TOL:
         raise NotSpacelike(f"<v,v> = {s!r} is not negative")
     scale = 1.0 / math.sqrt(-s)
     return CircleVector(*[x * scale for x in xs])

@@ -36,8 +36,11 @@ def soddy_gosset_residual(curvatures: Sequence[float], n: int) -> float:
     bs = [float(b) for b in curvatures]
     if len(bs) != n + 2:
         raise ValueError(f"need n+2 = {n + 2} curvatures for n = {n}, got {len(bs)}")
-    s = sum(bs)
-    return s * s - n * sum(b * b for b in bs)
+    s = q = 0.0
+    for b in bs:  # left to right: the sum of Python 3.12 and later compensates, so its bits differ
+        s += b
+        q += b * b
+    return s * s - n * q
 
 
 def _simplex_vertices(n: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from diskgeom import Gasket, GenerationLimits, canonical_quadruple, generate, render_svg
 from diskgeom import cli
 from diskgeom.cli import main
-from diskgeom.gasket import CHUNK_ROWS, GasketDisks, GasketQuadruples, _depth_fill, svg_chunks
+from diskgeom.gasket import CHUNK_ROWS, GasketDisks, GasketQuadruples, _depth_fill, csv_chunks, svg_chunks
 from diskgeom.minkowski import halfplane_geometry
 
 QUAD_DOC = {
@@ -116,7 +116,12 @@ class TestVerify:
     def test_three_disks_is_parse_error(self, tmp_path, capsys):
         code = main(["verify", write_doc(tmp_path, TRIPLE_DOC)])
         assert code == 2
-        assert "expected 4 disks" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: need n+2 = 4 vectors for n = 2, got 3\n"
+
+    def test_one_sphere_is_parse_error(self, tmp_path, capsys):
+        doc = {"dim": 3, "disks": SPHERE_DOC["disks"][:1]}
+        assert main(["verify", write_doc(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == "error: need n+2 = 5 vectors for n = 3, got 1\n"
 
     def test_repeated_disk_is_degenerate(self, tmp_path):
         doc = {"disks": [QUAD_DOC["disks"][0]] * 2 + QUAD_DOC["disks"][2:]}
@@ -261,6 +266,16 @@ class TestGasket:
         assert main(["gasket", "--input", write_doc(tmp_path, {"disks": disks}), "--depth", "1"]) == code
         assert capsys.readouterr().err == err
 
+    def test_overflowing_document_seed(self, tmp_path, capsys):
+        # the lifts overflow, so <v,v> is nan, which fails the normalization gate
+        disks = [{"type": "circle", "center": [1e200, 2.0 * k], "radius": 1.0} for k in range(4)]
+        doc, csv_path = write_doc(tmp_path, {"disks": disks}), tmp_path / "out.csv"
+        assert main(["gasket", "--input", doc, "--depth", "1", "--csv", str(csv_path)]) == 6
+        assert capsys.readouterr().err == (
+            "error: vector 0 (1e+200, 0.0, 1.0, inf) has <v,v> = nan, expected -1 within 1e-06\n"
+        )
+        assert not csv_path.exists()
+
     def test_document_seed_needs_four_disks(self, tmp_path, capsys):
         assert main(["gasket", "--input", write_doc(tmp_path, TRIPLE_DOC), "--depth", "1"]) == 2
         assert capsys.readouterr().err == "error: gasket documents need exactly 4 planar disks\n"
@@ -397,6 +412,12 @@ class TestSoddy:
 
     def test_wrong_count(self, capsys):
         assert main(["soddy", "--dim", "3", "--", "1", "1", "1"]) == 2
+        assert capsys.readouterr().err == "error: need n+2 = 5 curvatures for n = 3, got 3\n"
+
+    def test_negative_dimension(self, capsys):
+        # the dimension is checked before the count
+        assert main(["soddy", "--dim", "-5", "--", "1"]) == 2
+        assert capsys.readouterr().err == "error: dimension must be >= 2, got -5\n"
 
     def test_dimension_below_two(self, capsys):
         # n + 2 = 3 curvatures for n = 1, so the count passes and the dimension is refused
@@ -467,6 +488,20 @@ class TestLiftProject:
         report = json.loads(capsys.readouterr().out)
         assert report == {"type": "halfplane", "normal": [0.0, 1.0], "offset": 0.0, "schema_version": 1}
 
+    def test_project_json_has_no_negative_zeros(self, capsys):
+        assert main(["project", "0", "-1", "0", "0", "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "type": "halfplane",\n  "normal": [\n    0.0,\n    1.0\n  ],\n'
+            '  "offset": 0.0,\n  "schema_version": 1\n}\n'
+        )
+
+    def test_project_overflow_is_not_normalized(self, capsys):
+        # <v,v> overflows to -inf + inf = nan, which fails the normalization gate
+        assert main(["project", "1e200", "0", "1e200", "1e200"]) == 7
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: <v,v> = nan, expected -1 within 1e-06\n"
+
     @pytest.mark.parametrize(
         "argv, command",
         [
@@ -477,7 +512,16 @@ class TestLiftProject:
     )
     def test_infinite_argument(self, argv, command, capsys):
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {command} arguments must be finite\n"
+        # lift reads its arguments as a document record does, so its error names the field
+        expected = {
+            "circle": "circle center must be finite, got inf",
+            "halfplane": "halfplane offset must be finite, got inf",
+        }.get(argv[1], f"{command} arguments must be finite")
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    def test_lift_zero_radius(self, capsys):
+        assert main(["lift", "circle", "0", "0", "0"]) == 2
+        assert capsys.readouterr().err == "error: circle radius must be nonzero\n"
 
     def test_roundtrip_formats_compose(self, capsys):
         main(["lift", "circle", "0.5", "-2.5", "3"])
@@ -757,7 +801,7 @@ def traced_peak_mb(fn) -> float:
 def test_csv_writer_memory_is_bounded(depth_10_gasket, tmp_path):
     def write():
         with open(tmp_path / "out.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(cli._csv_chunks(depth_10_gasket.disks))
+            fh.writelines(csv_chunks(depth_10_gasket))
 
     assert traced_peak_mb(write) <= 3.0
 

@@ -185,6 +185,14 @@ class TestDescartesResidual:
     def test_solved_root(self):
         assert abs(descartes_residual(1, 1, 1, 3 + 2 * math.sqrt(3))) <= 1e-12
 
+    # the four-term formula descartes_residual had before it became the n = 2 Soddy-Gosset
+    # residual: the same bits for every double, nan and signed zeros included
+    @given(st.floats(), st.floats(), st.floats(), st.floats())
+    def test_matches_the_four_term_formula(self, a, b, c, d):
+        s = a + b + c + d
+        expected = s * s - 2.0 * (a * a + b * b + c * c + d * d)
+        assert repr(descartes_residual(a, b, c, d)) == repr(expected)
+
 
 class TestSolveFourthCurvature:
     def test_integral_triple(self):
@@ -212,6 +220,10 @@ class TestSolveFourthCurvature:
     def test_complex_roots_rejected(self):
         with pytest.raises(ComplexRoots):
             solve_fourth_curvature(1, 1, -1)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ComplexRoots, match=r"^ab\+bc\+ca = nan "):
+            solve_fourth_curvature(math.nan, 1, 1)
 
     @given(curvature, curvature, curvature)
     def test_roots_satisfy_residual(self, a, b, c):
@@ -257,6 +269,14 @@ class TestTangencyResidual:
         # (0,0)/(5,0) has product 11.5; the tangent (0,0)/(2,0) pair has 1
         assert worst_tangency(vectors) == (pytest.approx(10.5, abs=1e-12), (0, 2))
         assert worst_tangency(equilateral_triple())[0] == tangency_residual(equilateral_triple())
+
+    def test_first_nan_pair_is_the_worst(self):
+        a, b, _ = equilateral_triple()
+        nan_x, nan_y = CircleVector(math.nan, 0.0, 1.0, 0.0), CircleVector(0.0, math.nan, 1.0, 0.0)
+        residual, pair = worst_tangency([a, b, nan_x])
+        assert math.isnan(residual) and pair == (0, 2)
+        residual, pair = worst_tangency([a, nan_x, nan_y])
+        assert math.isnan(residual) and pair == (0, 1)
 
 
 class TestSolversMatchReference:
@@ -330,6 +350,12 @@ class TestSolveFourthDisk:
         with pytest.raises(DegenerateTriple, match=r"^pivot ratio 5\.000e-13 below rank tolerance 1e-10$"):
             solve_fourth_disk(v, w, nearly_w)
 
+    def test_nan_coefficient_is_rank_deficient(self):
+        # the pivot search never picks a nan, so its constraint row runs out of pivots
+        a, b, _ = equilateral_triple()
+        with pytest.raises(DegenerateTriple):
+            solve_fourth_disk(a, b, CircleVector(math.nan, 0.0, 1.0, 0.0))
+
     def test_not_tangent_rejected(self):
         with pytest.raises(NotTangent):
             solve_fourth_disk(
@@ -359,6 +385,11 @@ class TestTangentDiskWithCurvature:
         # curvature -1 disk tangent to both is the enclosing unit disk
         assert project(first) == Circle((0.0, 0.0), -1.0)
         assert project(second) == Circle((0.0, 0.0), -1.0)
+
+    def test_nan_curvature_fails_the_discriminant(self):
+        c1, c2 = lift(Circle((-1.0, 0.0), 1.0)), lift(Circle((1.0, 0.0), 1.0))
+        with pytest.raises(ComplexRoots, match=r"^discriminant nan "):
+            tangent_disk_with_curvature(c1, c2, math.nan)
 
     def test_mirror_pair_ordered_upper_first(self):
         c1 = lift(Circle((-1.0, 0.0), 1.0))
@@ -429,6 +460,11 @@ class TestQuadrupleValidate:
         message = r"^disks 0 and 3 are not tangent, residual 23\.0 exceeds 1e-06$"
         with pytest.raises(NotTangent, match=message):
             q.validate()
+
+    def test_nan_vector_fails(self, int_quadruple):
+        vectors = (*int_quadruple.vectors[:3], CircleVector(math.nan, 0.0, 1.0, 0.0))
+        with pytest.raises(NotNormalized, match=r"^vector 3 \(nan, 0\.0, 1\.0, 0\.0\) has <v,v> = nan, "):
+            Quadruple(vectors).validate()
 
     def test_three_vectors_rejected(self, int_quadruple):
         with pytest.raises(ValueError, match="expected 4 vectors, got 3"):

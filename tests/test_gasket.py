@@ -161,6 +161,11 @@ class TestCanonicalQuadruple:
         with pytest.raises(InvalidSeed, match=message):
             canonical_quadruple(ks)
 
+    def test_nan_fourth_fails_the_root_match(self):
+        message = r"^fourth curvature nan matches neither tangent root within 1e-06$"
+        with pytest.raises(InvalidSeed, match=message):
+            canonical_quadruple((1.0, 2.0, 3.0, math.nan))
+
     def test_wrong_count_rejected(self):
         with pytest.raises(InvalidSeed):
             canonical_quadruple((1.0, 1.0))

@@ -94,6 +94,10 @@ class TestLift:
         with pytest.raises(NonUnitNormal):
             lift(Halfplane((1, 1), 0))
 
+    def test_nan_normal_rejected(self):
+        with pytest.raises(NonUnitNormal, match=r"^halfplane normal must be unit length, \|n\| = nan$"):
+            lift(Halfplane((math.nan, 0.0), 0.0))
+
     @given(circles(max_center=10, min_radius=0.5, max_radius=10))
     def test_moderate_circles_normalize_tightly(self, c):
         v = lift(c)
@@ -134,6 +138,10 @@ class TestProject:
         with pytest.raises(NotNormalized):
             project(v)
 
+    def test_nan_fails_the_normalization_gate(self):
+        with pytest.raises(NotNormalized, match=r"^<v,v> = nan, expected -1 within 1e-06$"):
+            project(CircleVector(math.nan, 0.0, 1.0, 0.0))
+
     def test_normalization_error_names_the_bound(self):
         with pytest.raises(NotNormalized, match=r"^<v,v> = -4\.0, expected -1 within 1e-06$"):
             project(CircleVector(0.0, 0.0, 2.0, -2.0))
@@ -164,6 +172,10 @@ class TestNormalize:
     def test_timelike_rejected(self):
         with pytest.raises(NotSpacelike):
             normalize((0, 0, 1, 1))
+
+    def test_nan_rejected(self):
+        with pytest.raises(NotSpacelike, match=r"^<v,v> = nan is not negative$"):
+            normalize((math.nan, 0, 1, 0))
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
     def test_planar_matches_the_four_component_formula(self, components):
