@@ -269,7 +269,8 @@ def cmd_gasket(args: argparse.Namespace) -> int:
         if args.svg:
             _write_output(_open_output(args.svg), svg)
     # 1/x rounds monotonically, so the largest |curvature| gives the smallest radius
-    top = np.abs(result.disks.vectors[:, 2]).max(initial=0.0)
+    b = result.disks.vectors[:, 2]
+    top = max(b.max(initial=0.0), -b.min(initial=0.0))  # np.abs would copy the column
     print(f"disks: {len(result.disks)}")
     print(f"min radius: {fmt_float(1.0 / top) if top else 'n/a'}")
     return EXIT_OK

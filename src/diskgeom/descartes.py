@@ -60,7 +60,8 @@ def solve_fourth_curvature(a: float, b: float, c: float) -> tuple[float, float]:
     """
     pairs = a * b + b * c + c * a
     if not pairs >= -_PAIRS_TOL:
-        raise ComplexRoots(f"ab+bc+ca = {pairs!r} is negative, no real fourth curvature")
+        why = "is negative" if pairs < 0.0 else "is not a number"
+        raise ComplexRoots(f"ab+bc+ca = {pairs!r} {why}, no real fourth curvature")
     root = 2.0 * math.sqrt(max(pairs, 0.0))
     s = a + b + c
     if s >= 0.0:
@@ -169,7 +170,7 @@ def _roots_on_line(point: list[float], direction: list[float]) -> tuple[CircleVe
     disc = b * b - alpha * c0
     gate = 1e-12 * max(1.0, b * b, abs(alpha * c0))
     if not disc >= -gate:
-        raise ComplexRoots(f"discriminant {disc!r} is negative")
+        raise ComplexRoots(f"discriminant {disc!r} is {'negative' if disc < 0.0 else 'not a number'}")
     sq = math.sqrt(max(disc, 0.0))
     q = -(b + math.copysign(sq, b))
     if q != 0.0:

@@ -27,6 +27,8 @@ from .minkowski import Circle, CircleVector, Halfplane, halfplane_geometry, lift
 SPECTRUM_QUANTUM = 1e-7
 # rows that the SVG and CSV writers turn into text at a time, bounding their memory
 CHUNK_ROWS = 4096
+# dtype of the depth, parent and member stores, whose values stay below the disk count
+INDEX = np.int32
 
 # the slots that stay fixed when slot i is reflected, ascending
 _OTHERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -104,7 +106,7 @@ class _ArraySequence(Sequence):
 
 
 class GasketDisks(_ArraySequence):
-    """Stored disks: lifted vectors (N,4), depths (N,) and parent quadruple ids (N,)."""
+    """Stored disks: lifted vectors (N,4), INDEX depths (N,) and parent quadruple ids (N,)."""
 
     __slots__ = ("vectors", "depths", "quadruple_ids")
 
@@ -119,7 +121,7 @@ class GasketDisks(_ArraySequence):
 
 
 class GasketQuadruples(_ArraySequence):
-    """Explored quadruples as rows (M,4) of indices into the disk vectors (N,4)."""
+    """Explored quadruples as INDEX rows (M,4) of indices into the disk vectors (N,4)."""
 
     __slots__ = ("members", "vectors")
 
@@ -146,9 +148,11 @@ class Gasket:
 def _stores(size: int, old: Sequence[np.ndarray] = (), n: int = 0) -> list[np.ndarray]:
     """Vector, depth, parent and quadruple member stores for size disks, with old's first n."""
     try:
-        stores = [np.empty((size, 4)), np.empty(size, np.intp), np.empty(size, np.intp)]
-        stores.append(np.empty((size - 3, 4), np.intp))  # quadruple k added disk k + 3
-    except (MemoryError, ValueError) as exc:  # ValueError: longer than any numpy array
+        if size > np.iinfo(INDEX).max + 1:
+            raise ValueError(f"disk indices past {np.iinfo(INDEX).max} do not fit {np.dtype(INDEX)}")
+        stores = [np.empty((size, 4)), np.empty(size, INDEX), np.empty(size, INDEX)]
+        stores.append(np.empty((size - 3, 4), INDEX))  # quadruple k added disk k + 3
+    except (MemoryError, ValueError) as exc:  # ValueError: longer than any numpy array or INDEX
         raise DiskGeomError(f"cannot allocate the arrays of {size} disks: {exc}") from None
     for store, rows in zip(stores, old):
         k = n - (size - len(store))  # the member store is 3 rows shorter

@@ -143,7 +143,15 @@ def lift(d: Disk) -> CircleVector:
     s = 0.0
     for c in d.center:  # left to right, so a disk gives x*x + y*y
         s += c * c
+    if not math.isfinite(s):  # an overflow, or a nan or inf coordinate
+        _check_center(d.center)
     return CircleVector(tuple(c / r for c in d.center), 1.0 / r, (s - r * r) / r)
+
+
+def _check_center(center: Sequence[float]) -> None:
+    for c in center:
+        if not math.isfinite(c):
+            raise ValueError(f"center must be finite, got {c!r}")
 
 
 def project(v: CircleVector) -> Disk:
@@ -208,15 +216,15 @@ def inner_geometric(d1: Disk, d2: Disk) -> float:
     s = 0.0  # balls of different dimensions raise ValueError
     for a, b in zip(d1.center, d2.center, strict=True):
         s += (b - a) * (b - a)
+    if not math.isfinite(s):
+        _check_center((*d1.center, *d2.center))
     return (s - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
 
 
 def intersection_angle(d1: Disk, d2: Disk) -> float | None:
     """Angle between the boundary circles, or None when the disks miss each other."""
     p = inner_geometric(d1, d2)
-    if abs(p) > 1.0:
-        return None
-    return math.acos(p)
+    return math.acos(p) if abs(p) <= 1.0 else None  # a nan product misses too
 
 
 def _lifted_rows(vectors: Sequence) -> np.ndarray:
@@ -224,7 +232,7 @@ def _lifted_rows(vectors: Sequence) -> np.ndarray:
     if not vectors:
         raise ValueError("no vectors given")
     # np.array raises ValueError on vectors of different dimensions
-    rows = np.array([v.as_array() for v in vectors], dtype=float)
+    rows = np.array([tuple(v) for v in vectors], dtype=float)
     m, k = rows.shape
     if m != k:
         n = k - 2

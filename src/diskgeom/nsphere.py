@@ -69,6 +69,6 @@ def canonical_simplex_config(n: int, outer: bool = False) -> list[Circle]:
     verts = _simplex_vertices(n)
     circumradius = math.sqrt(2.0 * n / (n + 1.0))
     central = -(circumradius + 1.0) if outer else circumradius - 1.0
-    spheres = [Circle(tuple(float(x) for x in v), 1.0) for v in verts]
+    spheres = [Circle(tuple(v), 1.0) for v in verts.tolist()]
     spheres.append(Circle((0.0,) * n, central))
     return spheres

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diskgeom import Gasket, GenerationLimits, canonical_quadruple, generate, render_svg
+from diskgeom import DiskGeomError, Gasket, GenerationLimits, canonical_quadruple, generate, render_svg
 from diskgeom import cli
 from diskgeom.cli import main
 from diskgeom.gasket import CHUNK_ROWS, GasketDisks, GasketQuadruples, _depth_fill, csv_chunks, svg_chunks
@@ -823,6 +823,37 @@ def test_generate_memory_is_bounded_by_its_result():
     (g,) = gaskets
     arrays = (g.disks.vectors, g.disks.depths, g.disks.quadruple_ids, g.quadruples.members)
     assert peak * 2**20 <= 1.25 * sum(a.nbytes for a in arrays)
+
+
+# a stored disk is a 32-byte vector plus int32 depth, parent id and quadruple row
+def test_stores_take_56_bytes_per_disk(depth_10_gasket):
+    g = depth_10_gasket
+    indices = (g.disks.depths, g.disks.quadruple_ids, g.quadruples.members)
+    assert [a.dtype for a in indices] == [np.int32] * 3
+    assert sum(a.nbytes for a in (g.disks.vectors, *indices)) <= 56 * len(g.disks)
+
+
+# a run whose disk indices overflow int32 fails before any store is allocated
+def test_indices_past_int32_are_not_allocated():
+    seed = canonical_quadruple((-1.0, 2.0, 2.0, 3.0))
+    count, top = 2**31 + 1, 2**31 - 1
+    message = f"^cannot allocate the arrays of {count} disks: disk indices past {top} do not fit int32$"
+
+    def run():
+        with pytest.raises(DiskGeomError, match=message):
+            generate(seed, GenerationLimits(max_depth=20, max_count=count))
+
+    assert traced_peak_mb(run) <= 1.0
+
+
+# the smallest radius comes from the column's extremes, not from a copy of its
+# absolute values (0.94 MB); the bound is about twice the 0.24 MB peak of a
+# first call, later calls peak at 0.04 MB
+def test_gasket_summary_memory_is_bounded(depth_10_gasket, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "generate", lambda seed, limits: depth_10_gasket)
+    peak = traced_peak_mb(lambda: main(["gasket", "--seed", "-1,2,2,3", "--depth", "10"]))
+    assert capsys.readouterr().out == "disks: 118100\nmin radius: 5.343764361366721e-06\n"
+    assert peak <= 0.5
 
 
 # the viewport comes from chunk-wise extremes, not whole-gasket coordinate arrays (3.9 MB)

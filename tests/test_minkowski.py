@@ -98,6 +98,16 @@ class TestLift:
         with pytest.raises(NonUnitNormal, match=r"^halfplane normal must be unit length, \|n\| = nan$"):
             lift(Halfplane((math.nan, 0.0), 0.0))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_center_rejected(self, x):
+        with pytest.raises(ValueError, match=rf"^center must be finite, got {x!r}$"):
+            lift(Circle((0.0, x), 1.0))
+        with pytest.raises(ValueError, match=rf"^center must be finite, got {x!r}$"):
+            inner_geometric(Circle((0.0, 0.0), 1.0), Circle((x, 0.0), 1.0))
+
+    def test_huge_center_lifts_to_inf(self):
+        assert lift(Circle((1e200, 0.0), 1.0)).gamma == math.inf
+
     @given(circles(max_center=10, min_radius=0.5, max_radius=10))
     def test_moderate_circles_normalize_tightly(self, c):
         v = lift(c)
@@ -280,6 +290,10 @@ class TestIntersectionAngle:
     def test_disjoint_is_none(self):
         assert intersection_angle(Circle((0, 0), 1), Circle((5, 0), 1)) is None
 
+    def test_nan_product_is_none(self):
+        # inf - inf: the squared center distance and radii overflow
+        assert intersection_angle(Circle((1e200, 0.0), 1e200), Circle((0.0, 0.0), 1e200)) is None
+
 
 class TestGramian:
     def test_identical_vectors(self):
@@ -307,6 +321,10 @@ class TestGramian:
     def test_wrong_count(self):
         with pytest.raises(ValueError):
             gramian([CircleVector(0, 0, 1, -1)] * 3)
+
+    def test_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            gramian([CircleVector(0, 0, 1, -1)] * 3 + [CircleVector((0, 0, 0), 1, -1)])
 
     @staticmethod
     def check_against_inner(vectors):
