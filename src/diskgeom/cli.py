@@ -93,8 +93,8 @@ def _parse_halfplane(entry: dict, label: str) -> Halfplane:
     return Halfplane((normal[0] / norm, normal[1] / norm), offset / norm)
 
 
-def load_document(path: str) -> tuple[str, int, list[Disk]]:
-    """Read a disk document; returns ("planar", 2, disks) or ("spheres", n, spheres)."""
+def load_document(path: str) -> tuple[str, list[Disk]]:
+    """Read a disk document; returns ("planar", disks) or ("spheres", spheres)."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
@@ -120,14 +120,14 @@ def load_document(path: str) -> tuple[str, int, list[Disk]]:
         dim = doc.get("dim")
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
             raise DocumentError("sphere documents need an integer 'dim' >= 2")
-        return "spheres", dim, [_parse_circle(e, f"sphere {k}", dim) for k, e in enumerate(entries)]
+        return "spheres", [_parse_circle(e, f"sphere {k}", dim) for k, e in enumerate(entries)]
     if "dim" in doc and doc["dim"] != 2:
         raise DocumentError("planar documents must have dim 2 when 'dim' is present")
     disks = [
         _parse_circle(e, f"disk {k}", 2) if e["type"] == "circle" else _parse_halfplane(e, f"disk {k}")
         for k, e in enumerate(entries)
     ]
-    return "planar", 2, disks
+    return "planar", disks
 
 
 def disk_record(d: Disk) -> dict:
@@ -155,7 +155,7 @@ def _emit_json(obj: dict) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _, _, disks = load_document(args.input)
+    _, disks = load_document(args.input)
     f, finv, residual = configuration_identity([lift(d) for d in disks])
     passed = residual <= args.tol
     if args.json:
@@ -177,7 +177,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_solve4(args: argparse.Namespace) -> int:
-    kind, _, disks = load_document(args.input)
+    kind, disks = load_document(args.input)
     if kind != "planar" or len(disks) != 3:
         raise DocumentError("solve4 needs a planar document with exactly 3 disks")
     vectors = [lift(d) for d in disks]
@@ -245,7 +245,7 @@ def cmd_gasket(args: argparse.Namespace) -> int:
     if args.seed is not None:
         quad = canonical_quadruple(_parse_seed(args.seed))
     else:
-        kind, _, disks = load_document(args.input)
+        kind, disks = load_document(args.input)
         if kind != "planar" or len(disks) != 4:
             raise DocumentError("gasket documents need exactly 4 planar disks")
         quad = Quadruple(tuple(lift(d) for d in disks))
@@ -279,11 +279,14 @@ def cmd_gasket(args: argparse.Namespace) -> int:
 def cmd_soddy(args: argparse.Namespace) -> int:
     if not all(math.isfinite(b) for b in args.curvatures):
         raise DocumentError("curvatures must be finite")
-    residual = soddy_gosset_residual(args.curvatures, args.dim)
-    scale = sum(abs(b) for b in args.curvatures) ** 2
+    # relation and gate are homogeneous of degree 2, so they are decided on the curvatures over the
+    # power of 2 that brings the largest into [1, 2); float products, which never raise, scale back
+    unit = 2.0 ** (math.frexp(max(abs(b) for b in args.curvatures))[1] - 1)
+    residual = soddy_gosset_residual([b / unit for b in args.curvatures], args.dim)
+    scale = sum(abs(b) / unit for b in args.curvatures) ** 2
     passed = abs(residual) <= args.tol * scale
-    print(f"residual = {residual!r}")
-    print(f"{'PASS' if passed else 'FAIL'} (tol*scale = {args.tol * scale!r})")
+    print(f"residual = {residual * unit * unit!r}")
+    print(f"{'PASS' if passed else 'FAIL'} (tol*scale = {args.tol * scale * unit * unit!r})")
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

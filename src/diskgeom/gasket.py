@@ -150,13 +150,11 @@ def _stores(size: int, old: Sequence[np.ndarray] = (), n: int = 0) -> list[np.nd
     try:
         if size > np.iinfo(INDEX).max + 1:
             raise ValueError(f"disk indices past {np.iinfo(INDEX).max} do not fit {np.dtype(INDEX)}")
-        stores = [np.empty((size, 4)), np.empty(size, INDEX), np.empty(size, INDEX)]
-        stores.append(np.empty((size - 3, 4), INDEX))  # quadruple k added disk k + 3
+        stores = [np.empty((size, 4)), np.empty(size, INDEX), np.empty(size, INDEX), np.empty((size, 4), INDEX)]
     except (MemoryError, ValueError) as exc:  # ValueError: longer than any numpy array or INDEX
         raise DiskGeomError(f"cannot allocate the arrays of {size} disks: {exc}") from None
     for store, rows in zip(stores, old):
-        k = n - (size - len(store))  # the member store is 3 rows shorter
-        store[:k] = rows[:k]
+        store[:n] = rows[:n]
     return stores
 
 
@@ -197,21 +195,20 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
     vectors, depths, parents, members = stores
     vectors[:4] = [tuple(v) for v in seed.vectors]
     depths[:4] = parents[:4] = 0
-    members[0] = range(4)
-    born = np.array([-1], np.int8)  # the slot that created each frontier quadruple
-    n, first, depth = 4, 0, 0  # disks so far, id of the first frontier quadruple, its depth
+    # member row k >= 4 holds the quadruple disk k made, row 3 the seed; the one member of a frontier
+    # quadruple at or past level made it, so its slot would give the parent back (the seed has none)
+    members[3] = range(4)
+    n, first, level, depth = 4, 3, 4, 0  # disks so far, first frontier row, first disk of its level
     while (
-        len(born)
+        first < n
         and (limits.max_depth is None or depth < limits.max_depth)
         and (limits.max_count is None or n < limits.max_count)
     ):
-        depth += 1
-        start, next_born = n, np.empty(3 * len(born) + 1, np.int8)
+        depth, start = depth + 1, n
         # blocks of quadruples bound the temporaries to about CHUNK_ROWS children
-        for lo in range(0, len(born), CHUNK_ROWS // 3):
-            block = slice(lo, lo + CHUNK_ROWS // 3)
-            frontier = members[first : first + len(born)][block]
-            keep = born[block, None] != np.arange(4)
+        for lo in range(first, start, CHUNK_ROWS // 3):
+            frontier = members[lo : min(lo + CHUNK_ROWS // 3, start)]
+            keep = frontier < level
             if limits.max_curvature is not None:
                 beta = vectors[:, 2][frontier]
                 for i, (a, b, c) in enumerate(_OTHERS):
@@ -223,7 +220,7 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
             rows, new = np.arange(len(parent)), slice(n, n + len(parent))
             if new.stop > len(vectors):  # at least doubling keeps deep, narrow runs linear
                 vectors, depths, parents, members = stores = _stores(max(2 * n, new.stop), stores, n)
-            quads = members[new.start - 3 : new.stop - 3]
+            quads = members[new]
             np.take(frontier, parent, axis=0, out=quads, mode="clip")  # "raise" would buffer
             # vieta_reflect's order of operations, so the values match it bit for bit;
             # the k-th fixed slot of a child is k + (slot <= k), ascending as in _OTHERS
@@ -232,13 +229,12 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
             vectors[new] = 2.0 * (vectors[a] + vectors[b] + vectors[c]) - vectors[quads[rows, slot]]
             quads[rows, slot] = n + rows
             depths[new] = depth
-            parents[new] = first + lo + parent
-            next_born[new.start - start : new.stop - start] = slot
+            parents[new] = lo - 3 + parent
             n = new.stop
-        first, born = start - 3, next_born[: n - start]
+        first = level = start
     if n < len(vectors):
         vectors, depths, parents, members = _stores(n, stores, n)
-    return Gasket(seed, limits, GasketDisks(vectors, depths, parents), GasketQuadruples(members, vectors))
+    return Gasket(seed, limits, GasketDisks(vectors, depths, parents), GasketQuadruples(members[3:], vectors))
 
 
 def curvature_spectrum(g: Gasket) -> list[tuple[float, int]]:
@@ -358,7 +354,7 @@ def svg_chunks(g: Gasket, fill_by_depth: bool = False) -> Iterator[str]:
     ]
     reach = width + height
     for nx, ny, offset in lines:
-        ax, ay = nx * offset, ny * offset
+        ax, ay = nx * offset + 0.0, ny * offset + 0.0  # a flushed anchor flushes the endpoints too
         dx, dy = -ny, nx
         head.append(
             f'<line x1="{ax - reach * dx!r}" y1="{ay - reach * dy!r}" '
@@ -390,7 +386,7 @@ def csv_chunks(g: Gasket) -> Iterator[str]:
         for k in np.flatnonzero(beta == 0.0).tolist():
             # boundary anchor point of the halfplane
             nx, ny, offset = halfplane_geometry(CircleVector(*vectors[k].tolist()))
-            fields[1:, k] = nx * offset, ny * offset
+            fields[1:, k] = nx * offset + 0.0, ny * offset + 0.0
         # every field is an int or a float repr, so no field ever needs CSV quoting
         b, x, y = map(repr_rows, fields)
         yield from join_rows(depth_text[disks.depths[lo : lo + CHUNK_ROWS]], ",", b, ",", x, ",", y, "\n")

@@ -137,15 +137,19 @@ def lift(d: Disk) -> CircleVector:
         return CircleVector(0.0 - nx, 0.0 - ny, 0.0, 0.0 - 2.0 * d.offset)
     if d.dim < 2:
         raise BadDimension(f"dimension must be >= 2, got {d.dim!r}")
-    r = d.radius
-    if r == 0.0 or not math.isfinite(r):
-        raise ZeroRadius(f"radius must be finite and nonzero, got {r!r}")
+    r = _radius(d)
     s = 0.0
     for c in d.center:  # left to right, so a disk gives x*x + y*y
         s += c * c
     if not math.isfinite(s):  # an overflow, or a nan or inf coordinate
         _check_center(d.center)
     return CircleVector(tuple(c / r for c in d.center), 1.0 / r, (s - r * r) / r)
+
+
+def _radius(d: Circle) -> float:
+    if d.radius == 0.0 or not math.isfinite(d.radius):
+        raise ZeroRadius(f"radius must be finite and nonzero, got {d.radius!r}")
+    return d.radius
 
 
 def _check_center(center: Sequence[float]) -> None:
@@ -209,10 +213,7 @@ def inner_geometric(d1: Disk, d2: Disk) -> float:
     """
     if isinstance(d1, Halfplane) or isinstance(d2, Halfplane):
         return inner(lift(d1), lift(d2))
-    r1, r2 = d1.radius, d2.radius
-    for r in (r1, r2):
-        if r == 0.0 or not math.isfinite(r):
-            raise ZeroRadius(f"radius must be finite and nonzero, got {r!r}")
+    r1, r2 = _radius(d1), _radius(d2)
     s = 0.0  # balls of different dimensions raise ValueError
     for a, b in zip(d1.center, d2.center, strict=True):
         s += (b - a) * (b - a)

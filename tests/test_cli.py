@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -229,6 +230,16 @@ class TestGasket:
         curvatures = sorted(float(line.split(",")[1]) for line in lines[1:])
         assert curvatures == pytest.approx([-1, 2, 2, 3, 3, 6, 6, 15], abs=1e-9)
 
+    def test_halfplane_rows_print_no_negative_zero(self, tmp_path):
+        # the boundary y = 0 of the first halfplane passes through the origin, its anchor point
+        doc = {"disks": [*STRIP_TRIPLE_DOC["disks"], {"type": "circle", "center": [2.0, 1.0], "radius": 1.0}]}
+        csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+        outputs = ["--csv", str(csv_path), "--svg", str(svg_path)]
+        assert main(["gasket", "--input", write_doc(tmp_path, doc), "--depth", "1", *outputs]) == 0
+        for path in (csv_path, svg_path):
+            text = path.read_text()
+            assert "0.0" in text and "-0.0" not in re.split(r'[\s,"]', text)
+
     def test_svg_depth_zero(self, tmp_path):
         svg_path = tmp_path / "out.svg"
         code = main(["gasket", "--seed", "-1,2,2,3", "--depth", "0", "--svg", str(svg_path)])
@@ -427,6 +438,38 @@ class TestSoddy:
     def test_infinite_curvature(self, capsys):
         assert main(["soddy", "--dim", "2", "--", "inf", "1", "1", "1"]) == 2
         assert capsys.readouterr().err == "error: curvatures must be finite\n"
+
+    @pytest.mark.parametrize(
+        "curvatures, code, out",
+        [
+            ("-1 2 2 3", 0, "residual = 0.0\nPASS (tol*scale = 6.4e-07)\n"),
+            ("1 1 1 1", 1, "residual = 8.0\nFAIL (tol*scale = 1.6e-07)\n"),
+            ("0.7 1.3 2.9 9.1", 1, "residual = 9.200000000000017\nFAIL (tol*scale = 1.96e-06)\n"),
+        ],
+    )
+    def test_report_of_ordinary_curvatures(self, curvatures, code, out, capsys):
+        # scaling by a power of 2 and back is exact here, so the lines are those of the unscaled sums
+        assert main(["soddy", "--dim", "2", "--", *curvatures.split()]) == code
+        assert capsys.readouterr().out == out
+
+    # the verdict is taken on the curvatures scaled by a power of 2, so it does not depend on
+    # their scale; the printed values are scaled back and overflow to inf or underflow to 0.0
+    def test_huge_tangent_quadruple_passes(self, capsys):
+        assert main(["soddy", "--dim", "2", "--", "-1e155", "2e155", "2e155", "3e155"]) == 0
+        assert capsys.readouterr().out == "residual = 0.0\nPASS (tol*scale = 6.4e+303)\n"
+
+    def test_overflowing_residual_fails(self, capsys):
+        assert main(["soddy", "--dim", "3", "--", "0", "-0", "1e200", "-0", "-1"]) == 1
+        assert capsys.readouterr().out == "residual = -inf\nFAIL (tol*scale = inf)\n"
+
+    def test_tiny_equal_curvatures_fail(self, capsys):
+        # as 1 1 1 1 do, whose residual is 8
+        assert main(["soddy", "--dim", "2", "--", "1e-300", "1e-300", "1e-300", "1e-300"]) == 1
+        assert capsys.readouterr().out == "residual = 0.0\nFAIL (tol*scale = 0.0)\n"
+
+    def test_tiny_tangent_quadruple_passes(self, capsys):
+        assert main(["soddy", "--dim", "2", "--", "-1e-160", "2e-160", "2e-160", "3e-160"]) == 0
+        assert capsys.readouterr().out == "residual = 0.0\nPASS (tol*scale = 0.0)\n"
 
 
 class TestLiftProject:
@@ -732,7 +775,7 @@ def reference_csv(disks) -> str:
         xdot, ydot, beta, _ = disk.vector
         if beta == 0.0:
             nx, ny, offset = halfplane_geometry(disk.vector)
-            x, y = nx * offset, ny * offset
+            x, y = nx * offset + 0.0, ny * offset + 0.0
         else:
             x, y = xdot / beta + 0.0, ydot / beta + 0.0
         rows.append(f"{disk.depth},{beta!r},{x!r},{y!r}\n")
@@ -859,3 +902,66 @@ def test_gasket_summary_memory_is_bounded(depth_10_gasket, monkeypatch, capsys):
 # the viewport comes from chunk-wise extremes, not whole-gasket coordinate arrays (3.9 MB)
 def test_svg_viewport_memory_is_bounded(depth_10_gasket):
     assert traced_peak_mb(lambda: next(iter(svg_chunks(depth_10_gasket)))) <= 1.0
+
+
+# the edges of the double range, signed zeros and subnormals included
+EXTREME_VALUES = ["0", "-0"] + [
+    sign + v
+    for v in ("5e-324", "1e-300", "1e-160", "1e155", "1e200", "1e300", "1.7976931348623157e308")
+    for sign in ("", "-")
+]
+
+
+def extreme_draws(width: int, seed: int) -> list[tuple[str, ...]]:
+    """Each extreme value in all width places, then 10 seeded mixes of extreme and ordinary values."""
+    rng, pool = random.Random(seed), EXTREME_VALUES + ["1", "-1", "2", "3", "0.5"]
+    mixes = [tuple(rng.choice(pool) for _ in range(width)) for _ in range(10)]
+    return [(v,) * width for v in EXTREME_VALUES] + mixes
+
+
+def extreme_document(values: tuple[str, ...]) -> dict:
+    """Circles from the values three at a time, then a halfplane y <= offset from a leftover value."""
+    disks = [
+        {"type": "circle", "center": [float(x), float(y)], "radius": float(r)}
+        for x, y, r in zip(*[iter(values)] * 3)
+    ]
+    if len(values) % 3:
+        disks.append({"type": "halfplane", "normal": [0.0, 1.0], "offset": float(values[-1])})
+    return {"disks": disks}
+
+
+# "--" keeps argparse from reading a negative value as an option; DOC marks a document argument
+EXTREME_RUNS = [
+    (prefix, values)
+    for seed, (prefix, width) in enumerate([
+        (("soddy", "--dim", "2", "--"), 4),
+        (("soddy", "--dim", "3", "--"), 5),
+        (("project", "--"), 4),
+        (("lift", "circle", "--"), 3),
+        (("lift", "halfplane", "--"), 3),
+        (("verify", "DOC"), 12),
+        (("verify", "DOC"), 10),
+        (("solve4", "DOC"), 9),
+        (("solve4", "DOC"), 7),
+        (("gasket", "--depth", "2", "--seed"), 3),
+        (("gasket", "--depth", "2", "--seed"), 4),
+    ])
+    for values in extreme_draws(width, seed)
+]
+
+
+@pytest.mark.parametrize("prefix, values", EXTREME_RUNS, ids=lambda x: " ".join(x))
+def test_extreme_values_exit_with_a_documented_code(prefix, values, request, capsys):
+    if prefix[-1] == "DOC":
+        argv = [*prefix[:-1], write_doc(request.getfixturevalue("tmp_path"), extreme_document(values))]
+    elif prefix[-1] == "--seed":
+        argv = [*prefix[:-1], "--seed=" + ",".join(values)]
+    else:
+        argv = [*prefix, *values]
+    code = main(argv)  # no exception may escape
+    out, err = capsys.readouterr()
+    assert code in range(8)  # the README's exit codes
+    if code >= 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+    else:
+        assert err == "" and ("FAIL" in out) == (code == 1)
