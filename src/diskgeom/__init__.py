@@ -39,6 +39,7 @@ from .minkowski import (
 from .descartes import (
     Quadruple,
     descartes_residual,
+    soddy_gosset_residual,
     solve_fourth_curvature,
     solve_fourth_disk,
     tangency_residual,
@@ -46,24 +47,19 @@ from .descartes import (
     vieta_reflect,
 )
 from .gasket import (
-    SPECTRUM_QUANTUM,
     Gasket,
     GasketDisk,
     GenerationLimits,
     canonical_quadruple,
-    curvature_spectrum,
     generate,
     render_svg,
 )
-from .nsphere import (
-    NSphere,
-    NVector,
-    canonical_simplex_config,
-    gramian_n,
-    inner_sphere,
-    lift_sphere,
-    soddy_gosset_residual,
-    verify_generalized_n,
-)
+from .nsphere import canonical_simplex_config
+
+# the n-dimensional names of the shared kernel
+NSphere = Circle
+lift_sphere = lift
+inner_sphere = inner
+verify_generalized_n = verify_generalized
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from typing import Any, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .descartes import TANGENT_TOL, Quadruple, descartes_residual, solve_fourth_disk
+from .descartes import TANGENT_TOL, Quadruple, descartes_residual, soddy_gosset_residual, solve_fourth_disk
 from .errors import (
     ComplexRoots,
     DegenerateTriple,
@@ -24,7 +24,6 @@ from .errors import (
 )
 from .gasket import GenerationLimits, canonical_quadruple, csv_chunks, generate, svg_chunks
 from .minkowski import Circle, CircleVector, Disk, Halfplane, configuration_identity, lift, project
-from .nsphere import soddy_gosset_residual
 
 SCHEMA_VERSION = 1
 
@@ -63,7 +62,10 @@ def _reject_constant(token: str) -> float:
 def _number(value: Any, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(f"{what} must be a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # a JSON integer past the double range; its digits are not echoed
+        raise DocumentError(f"{what} must be finite, got an integer of {len(str(abs(value)))} digits") from None
     if not math.isfinite(x):
         raise DocumentError(f"{what} must be finite, got {value!r}")
     return x
@@ -100,7 +102,9 @@ def load_document(path: str) -> tuple[str, list[Disk]]:
             doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except DocumentError:  # _reject_constant's, already worded
+        raise
+    except (ValueError, RecursionError) as exc:  # also an integer past 4300 digits, or deep nesting
         raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")

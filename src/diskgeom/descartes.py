@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
+    BadDimension,
     ComplexRoots,
     DegenerateTriple,
     InvalidIndex,
     NotTangent,
 )
 from .minkowski import CircleVector, check_normalized, inner, normalize
-from .nsphere import soddy_gosset_residual
 
 # every gate is written "not x <= bound", so that a nan fails it
 _RANK_TOL = 1e-10
@@ -45,6 +45,23 @@ class Quadruple:
         for k, v in enumerate(self.vectors):
             check_normalized(v, f"vector {k} {tuple(v)!r} has ")
         _check_tangent(self.vectors, TANGENT_TOL)
+
+
+def soddy_gosset_residual(curvatures: Sequence[float], n: int) -> float:
+    """(sum b)^2 - n * sum(b^2) over n+2 curvatures; zero on tangent configurations.
+
+    The all-tangent Gramian has inverse J/(2n) - I/2; the inverse metric's zero b-b entry gives this.
+    """
+    if n < 2:
+        raise BadDimension(f"dimension must be >= 2, got {n!r}")
+    bs = [float(b) for b in curvatures]
+    if len(bs) != n + 2:
+        raise ValueError(f"need n+2 = {n + 2} curvatures for n = {n}, got {len(bs)}")
+    s = q = 0.0
+    for b in bs:  # left to right: the sum of Python 3.12 and later compensates, so its bits differ
+        s += b
+        q += b * b
+    return s * s - n * q
 
 
 def descartes_residual(a: float, b: float, c: float, d: float) -> float:

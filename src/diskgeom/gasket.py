@@ -24,7 +24,6 @@ from .descartes import Quadruple, solve_fourth_curvature, solve_fourth_disk, tan
 from .errors import DiskGeomError, EmptyGasket, InvalidSeed
 from .minkowski import Circle, CircleVector, Halfplane, halfplane_geometry, lift
 
-SPECTRUM_QUANTUM = 1e-7
 # rows that the SVG and CSV writers turn into text at a time, bounding their memory
 CHUNK_ROWS = 4096
 # dtype of the depth, parent and member stores, whose values stay below the disk count
@@ -235,17 +234,6 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
     if n < len(vectors):
         vectors, depths, parents, members = _stores(n, stores, n)
     return Gasket(seed, limits, GasketDisks(vectors, depths, parents), GasketQuadruples(members[3:], vectors))
-
-
-def curvature_spectrum(g: Gasket) -> list[tuple[float, int]]:
-    """Curvature histogram in bins of relative width SPECTRUM_QUANTUM, ascending.
-
-    Each bin reports the first curvature that fell into it.
-    """
-    b = g.disks.vectors[:, 2]
-    step = SPECTRUM_QUANTUM * np.maximum(1.0, np.abs(b))
-    _, first, counts = np.unique(np.round(b / step) * step, return_index=True, return_counts=True)
-    return sorted(zip(b[first].tolist(), counts.tolist()))
 
 
 def canonical_quadruple(curvatures: Sequence[float]) -> Quadruple:

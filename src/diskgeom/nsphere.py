@@ -1,46 +1,19 @@
-"""Tangent-sphere identities in arbitrary dimension.
+"""The canonical tangent configuration of n+2 spheres in n-space.
 
-(n-1)-spheres in n-space lift to space-like unit vectors in an
-(n+2)-dimensional Minkowski space exactly as planar disks do for n = 2, so
-the ball type, the lifted vector, the lift, the product, the Gramian and
-the configuration identity are minkowski's; the n-dimensional names below
-are aliases of them.  The all-tangent Gramian (diagonal -1, off-diagonal 1)
-has inverse J/(2n) - I/2, and the vanishing curvature-curvature entry of
-the inverse metric turns that into the curvature identity
-(sum b)^2 = n * sum(b^2).
+n+1 unit spheres sit at the vertices of a regular n-simplex and the
+(n+2)-th is centered at its origin.  Balls of every dimension are
+minkowski's Circle; their curvature relation (sum b)^2 = n * sum(b^2) is
+descartes.soddy_gosset_residual.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from .errors import BadDimension
-from .minkowski import Circle, CircleVector, gramian, inner, lift, verify_generalized
-
-# the n-dimensional names of the shared kernel
-NSphere = Circle
-NVector = CircleVector
-lift_sphere = lift
-inner_sphere = inner
-gramian_n = gramian
-verify_generalized_n = verify_generalized
-
-
-def soddy_gosset_residual(curvatures: Sequence[float], n: int) -> float:
-    """(sum b)^2 - n * sum(b^2) over n+2 curvatures; zero on tangent configurations."""
-    if n < 2:
-        raise BadDimension(f"dimension must be >= 2, got {n!r}")
-    bs = [float(b) for b in curvatures]
-    if len(bs) != n + 2:
-        raise ValueError(f"need n+2 = {n + 2} curvatures for n = {n}, got {len(bs)}")
-    s = q = 0.0
-    for b in bs:  # left to right: the sum of Python 3.12 and later compensates, so its bits differ
-        s += b
-        q += b * b
-    return s * s - n * q
+from .minkowski import Circle
 
 
 def _simplex_vertices(n: int) -> np.ndarray:

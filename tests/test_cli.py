@@ -965,3 +965,24 @@ def test_extreme_values_exit_with_a_documented_code(prefix, values, request, cap
         assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
     else:
         assert err == "" and ("FAIL" in out) == (code == 1)
+
+
+# documents that json or float() cannot hold: each names its file or field in one short line
+OVERSIZED_DOCUMENTS = [
+    ('{"disks": [%s]}' % UNIT_CIRCLE.replace("1}", "1" + "0" * 400 + "}"), "disk 0 radius must be finite"),
+    ('{"disks": ' + "[" * 100_000 + "]" * 100_000 + "}", "invalid JSON in DOC: maximum recursion depth"),
+    ('{"disks": [%s]}' % UNIT_CIRCLE.replace("1}", "1" + "0" * 5000 + "}"), "invalid JSON in DOC: Exceeds the"),
+]
+
+
+@pytest.mark.parametrize("command", [["verify"], ["solve4"], ["gasket", "--depth", "1", "--input"]])
+@pytest.mark.parametrize(
+    "text, fragment", OVERSIZED_DOCUMENTS, ids=["400-digit radius", "deep nesting", "5001-digit radius"]
+)
+def test_oversized_document_is_a_parse_error(command, text, fragment, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([*command, str(path)]) == 2  # no exception may escape
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) < 300
+    assert err.startswith(f"error: {fragment.replace('DOC', str(path))}")

@@ -1,4 +1,6 @@
 import dataclasses
+import io
+import itertools
 import math
 from collections import deque
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from diskgeom import (
     Circle,
+    CircleVector,
     ComplexRoots,
     DiskGeomError,
     EmptyGasket,
@@ -18,7 +21,6 @@ from diskgeom import (
     InvalidSeed,
     Quadruple,
     canonical_quadruple,
-    curvature_spectrum,
     descartes_residual,
     generate,
     inner,
@@ -27,7 +29,7 @@ from diskgeom import (
     verify_generalized,
     vieta_reflect,
 )
-from diskgeom.gasket import CHUNK_ROWS, GasketDisks, GasketQuadruples
+from diskgeom.gasket import CHUNK_ROWS, GasketDisks, GasketQuadruples, csv_chunks
 
 SEED_CURVATURES = (-1.0, 2.0, 2.0, 3.0)
 # generate reflects CHUNK_ROWS // 3 quadruples at a time; the first such block of
@@ -420,24 +422,73 @@ class TestOracles:
             assert np.array_equal(cut.quadruple_ids, full.quadruple_ids[:k])
 
 
-class TestCurvatureSpectrum:
-    def test_depth_zero(self, int_quadruple):
-        g = generate(int_quadruple, depth_limit(0))
-        assert curvature_spectrum(g) == [(-1.0, 1), (2.0, 2), (3.0, 1)]
+def similar(vectors: np.ndarray, kind: str, k: int) -> np.ndarray:
+    """Lifted vectors (N,4) under a dilation by 2^k, the quarter turn or the mirror x -> -x.
 
-    def test_depth_one(self, int_quadruple):
-        g = generate(int_quadruple, depth_limit(1))
-        assert curvature_spectrum(g) == [
-            (-1.0, 1),
-            (2.0, 2),
-            (3.0, 2),
-            (6.0, 2),
-            (15.0, 1),
-        ]
+    A dilation multiplies curvature by 2^-k and co-curvature by 2^k, the quarter
+    turn maps (xdot, ydot) to (-ydot, xdot); every one of them is exact in doubles.
+    """
+    if kind == "dilate":
+        return vectors * np.array([1.0, 1.0, 2.0**-k, 2.0**k])
+    if kind == "quarter":
+        return vectors[:, [1, 0, 2, 3]] * np.array([-1.0, 1.0, 1.0, 1.0])
+    return vectors * np.array([-1.0, 1.0, 1.0, 1.0])
 
-    def test_multiplicities_sum_to_disk_count(self, int_quadruple):
-        g = generate(int_quadruple, depth_limit(3))
-        assert sum(n for _, n in curvature_spectrum(g)) == len(g.disks)
+
+def csv_columns(g: Gasket) -> np.ndarray:
+    """The parsed depth, curvature, x and y columns (N,4) of the gasket CSV."""
+    return np.loadtxt(io.StringIO("".join(csv_chunks(g))), delimiter=",", skiprows=1, ndmin=2)
+
+
+# three curvatures from e^U(-2,3), completed by canonical_quadruple
+SIMILAR_SEEDS = st.lists(st.floats(-2.0, 3.0).map(math.exp), min_size=3, max_size=3)
+SIMILARITIES = st.tuples(st.just("dilate"), st.integers(-30, 30)) | st.sampled_from(
+    [("quarter", 0), ("mirror", 0)]
+)
+
+
+class TestSimilarities:
+    """generate commutes with the similarities that are exact in doubles.
+
+    Values are compared, not bytes: the mirror of a zero component is -0.0.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(SIMILAR_SEEDS, SIMILARITIES, st.integers(0, 6))
+    @example(SEED_CURVATURES, ("dilate", -30), 6)
+    @example((0.0, 0.0, 1.0, 1.0), ("dilate", 30), 6)
+    @example(SEED_CURVATURES, ("mirror", 0), 6)
+    @example((0.0, 0.0, 1.0, 1.0), ("quarter", 0), 6)
+    def test_generate_of_a_similar_seed_is_the_similar_gasket(self, curvatures, similarity, depth):
+        seed = canonical_quadruple(curvatures)
+        moved = similar(np.array([tuple(v) for v in seed.vectors]), *similarity)
+        g = generate(seed, depth_limit(depth))
+        h = generate(Quadruple(tuple(CircleVector(*v) for v in moved.tolist())), depth_limit(depth))
+        assert np.array_equal(h.disks.vectors, similar(g.disks.vectors, *similarity))
+        assert np.array_equal(h.disks.depths, g.disks.depths)
+        assert np.array_equal(h.disks.quadruple_ids, g.disks.quadruple_ids)
+        assert np.array_equal(h.quadruples.members, g.quadruples.members)
+        # the CSV prints centers: a dilation multiplies x and y by 2^k, a turn moves them with xdot, ydot
+        rows, moved_rows = csv_columns(g), csv_columns(h)
+        kind, k = similarity
+        if kind == "dilate":
+            expected = rows * np.array([1.0, 2.0**-k, 2.0**k, 2.0**k])
+        elif kind == "quarter":
+            expected = rows[:, [0, 1, 3, 2]] * np.array([1.0, 1.0, -1.0, 1.0])
+        else:
+            expected = rows * np.array([1.0, 1.0, -1.0, 1.0])
+        assert np.array_equal(moved_rows, expected)
+
+    # Reordering the seed's vectors reorders the sums of every reflection, so the multiset is
+    # kept only where the placed seed is exact: it fails for 0.7,1.3,2.9 and for -2,3,6,7,
+    # whose placed fourth beta is 6.999999999999999.
+    @pytest.mark.parametrize("curvatures", [SEED_CURVATURES, (0.0, 0.0, 1.0, 1.0)])
+    def test_permuted_seed_keeps_the_curvature_multiset(self, curvatures):
+        seed = canonical_quadruple(curvatures)
+        expected = np.sort(generate(seed, depth_limit(6)).disks.vectors[:, 2])
+        for order in itertools.permutations(seed.vectors):
+            g = generate(Quadruple(order), depth_limit(6))
+            assert np.array_equal(np.sort(g.disks.vectors[:, 2]), expected)
 
 
 class TestRenderSvg:

@@ -13,7 +13,7 @@ from diskgeom import (
     ZeroRadius,
     canonical_simplex_config,
     descartes_residual,
-    gramian_n,
+    gramian,
     inner_sphere,
     lift,
     lift_sphere,
@@ -216,5 +216,5 @@ def test_all_tangent_gramian_has_closed_form_inverse():
 
 def test_simplex_gramian_matches_all_tangent_form():
     vectors = [lift_sphere(s) for s in canonical_simplex_config(4)]
-    f = gramian_n(vectors)
+    f = gramian(vectors)
     assert np.allclose(f, np.ones((6, 6)) - 2.0 * np.eye(6), atol=1e-9)
