@@ -17,8 +17,6 @@ from .errors import (
     ZeroRadius,
 )
 from .minkowski import (
-    MINKOWSKI_METRIC,
-    MINKOWSKI_METRIC_INV,
     Circle,
     CircleVector,
     Disk,

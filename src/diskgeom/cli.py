@@ -323,8 +323,13 @@ def cmd_project(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file: TextIO | None = None) -> None:  # argparse's own swallows write errors
+        print(self.format_help(), end="", file=file, flush=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diskgeom",
         description="Tangent-disk geometry: verify configurations, solve tangency "
         "problems, grow Apollonian gaskets.",
@@ -396,7 +401,7 @@ _ERROR_CODES: list[tuple[type, int]] = [
 ]
 
 
-def _join_seed_flag(argv: list[str]) -> list[str]:
+def _join_seed_flag(argv: Sequence[str]) -> list[str]:
     # lets "--seed -1,2,2,3" survive argparse's option detection
     out = list(argv)
     for i, tok in enumerate(out[:-1]):
@@ -407,14 +412,18 @@ def _join_seed_flag(argv: list[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args_list = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_seed_flag(args_list))
-    except SystemExit as exc:
+        args = build_parser().parse_args(_join_seed_flag(sys.argv[1:] if argv is None else argv))
+        code = args.func(args)
+        print(end="", flush=True)  # a closed stdout fails here at the latest, not in Python's exit
+        return code
+    except SystemExit as exc:  # argparse printed the help or a usage error
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    try:
-        return args.func(args)
+    except BrokenPipeError as exc:
+        # what stays buffered goes to devnull, so that Python's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except (ValueError, DiskGeomError) as exc:  # ValueError: the library's invalid arguments
         print(f"error: {exc}", file=sys.stderr)
         codes = (code for err_type, code in _ERROR_CODES if isinstance(exc, err_type))

@@ -205,7 +205,7 @@ def _roots_on_line(point: list[float], direction: list[float]) -> tuple[CircleVe
 
 
 def _tangency_row(v: CircleVector) -> list[float]:
-    """Coefficients of x -> <v, x>, the row MINKOWSKI_METRIC @ v with its signed zeros."""
+    """Coefficients of x -> <v, x>, the row minkowski_metric(2) @ v with its signed zeros."""
     return [0.0 - v.xdot, 0.0 - v.ydot, 0.5 * v.gamma + 0.0, 0.5 * v.beta + 0.0]
 
 

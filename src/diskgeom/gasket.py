@@ -74,8 +74,7 @@ class _ArraySequence(Sequence):
     """Immutable sequence over read-only numpy arrays; items are built on access.
 
     Subclasses name their arrays in __slots__, the first one giving the
-    length, and build item k in _item.  The arrays are not copied.  Equality
-    goes by content and hashing by the integer arrays, so neither builds items.
+    length, and build item k in _item.  The arrays are not copied.
     """
 
     __slots__ = ()
@@ -94,15 +93,6 @@ class _ArraySequence(Sequence):
             return tuple(self._item(i) for i in range(len(self))[k])
         return self._item(range(len(self))[k])
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in self.__slots__)
-
-    def __hash__(self) -> int:
-        # equal float vectors may differ in the sign of a zero, so only the integer arrays count
-        return hash(tuple(getattr(self, n).astype(int).tobytes() for n in self.__slots__ if n != "vectors"))
-
 
 class GasketDisks(_ArraySequence):
     """Stored disks: lifted vectors (N,4), INDEX depths (N,) and parent quadruple ids (N,)."""
@@ -114,10 +104,6 @@ class GasketDisks(_ArraySequence):
             CircleVector(*self.vectors[k].tolist()), int(self.depths[k]), int(self.quadruple_ids[k])
         )
 
-    def __iter__(self):
-        rows = zip(self.vectors.tolist(), self.depths.tolist(), self.quadruple_ids.tolist())
-        return (GasketDisk(CircleVector(*v), d, q) for v, d, q in rows)
-
 
 class GasketQuadruples(_ArraySequence):
     """Explored quadruples as INDEX rows (M,4) of indices into the disk vectors (N,4)."""
@@ -128,12 +114,10 @@ class GasketQuadruples(_ArraySequence):
         return Quadruple(tuple(CircleVector(*v) for v in self.vectors[self.members[k]].tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gasket:
     """A grown gasket: its disks and the quadruples explored to find them."""
 
-    seed: Quadruple
-    limits: GenerationLimits
     disks: GasketDisks
     quadruples: GasketQuadruples
 
@@ -233,7 +217,7 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
         first = level = start
     if n < len(vectors):
         vectors, depths, parents, members = _stores(n, stores, n)
-    return Gasket(seed, limits, GasketDisks(vectors, depths, parents), GasketQuadruples(members[3:], vectors))
+    return Gasket(GasketDisks(vectors, depths, parents), GasketQuadruples(members[3:], vectors))
 
 
 def canonical_quadruple(curvatures: Sequence[float]) -> Quadruple:

@@ -53,9 +53,6 @@ def minkowski_metric_inv(n: int) -> np.ndarray:
     return _block_metric(n, 2.0)
 
 
-MINKOWSKI_METRIC = minkowski_metric(2)
-MINKOWSKI_METRIC_INV = minkowski_metric_inv(2)
-
 # every gate is written "not x <= bound", so that a nan fails it
 _UNIT_NORMAL_TOL = 1e-12
 NORM_TOL = 1e-6  # |<v,v> + 1| of a normalized vector, for project and Quadruple.validate
@@ -133,6 +130,8 @@ def lift(d: Disk) -> CircleVector:
         norm = math.hypot(nx, ny)
         if not abs(norm - 1.0) <= _UNIT_NORMAL_TOL:
             raise NonUnitNormal(f"halfplane normal must be unit length, |n| = {norm!r}")
+        if not math.isfinite(d.offset):
+            raise ValueError(f"offset must be finite, got {d.offset!r}")
         # 0.0 - x coerces ints and flushes negative zeros
         return CircleVector(0.0 - nx, 0.0 - ny, 0.0, 0.0 - 2.0 * d.offset)
     if d.dim < 2:
@@ -189,7 +188,7 @@ def normalize(components: Iterable[float]) -> CircleVector:
     v = CircleVector(*xs)
     s = inner(v, v)
     if not s < -_SPACELIKE_TOL:
-        raise NotSpacelike(f"<v,v> = {s!r} is not negative")
+        raise NotSpacelike(f"<v,v> = {s!r} is {'not a number' if math.isnan(s) else 'not negative'}")
     scale = 1.0 / math.sqrt(-s)
     return CircleVector(*[x * scale for x in xs])
 

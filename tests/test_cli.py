@@ -214,7 +214,7 @@ class TestSolve4:
 
 def empty_gasket(seed, limits):
     disks = GasketDisks(np.empty((0, 4)), np.empty(0, np.intp), np.empty(0, np.intp))
-    return Gasket(seed, limits, disks, GasketQuadruples(np.empty((0, 4), np.intp), disks.vectors))
+    return Gasket(disks, GasketQuadruples(np.empty((0, 4), np.intp), disks.vectors))
 
 
 class TestGasket:
@@ -680,6 +680,42 @@ def test_module_run_error_exit(tmp_path):
     assert done.returncode == 6
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+CLOSED_STDOUT_ARGV = {
+    "help": ["--help"],
+    "gasket help": ["gasket", "--help"],
+    "verify": ["verify", "QUAD"],
+    "solve4": ["solve4", "TRIPLE"],
+    "gasket": ["gasket", "--seed", "-1,2,2,3", "--depth", "3", "--csv", "CSV", "--svg", "SVG"],
+    "soddy": ["soddy", "--dim", "2", "--", "-1", "2", "2", "3"],
+    "lift": ["lift", "halfplane", "0", "1", "0", "--json"],
+    "project": ["project", "0", "0", "1", "-1"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_ARGV.values(), ids=CLOSED_STDOUT_ARGV)
+def test_closed_stdout_is_a_write_error(argv, unbuffered, tmp_path):
+    # each command exits 0 on an open stdout; here the pipe's reader is gone before it starts
+    paths = {
+        "QUAD": write_doc(tmp_path, EQUILATERAL_QUAD_DOC),
+        "TRIPLE": write_doc(tmp_path, TRIPLE_DOC, "triple.json"),
+        "CSV": str(tmp_path / "out.csv"),
+        "SVG": str(tmp_path / "out.svg"),
+    }
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        argv = [sys.executable, "-m", "diskgeom.cli", *(paths.get(arg, arg) for arg in argv)]
+        done = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_DEPTH_8))

@@ -6,8 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diskgeom import (
-    MINKOWSKI_METRIC,
-    MINKOWSKI_METRIC_INV,
     BadDimension,
     Circle,
     CircleVector,
@@ -28,6 +26,8 @@ from diskgeom import (
     invert_matrix,
     lift,
     lift_sphere,
+    minkowski_metric,
+    minkowski_metric_inv,
     normalize,
     project,
     verify_generalized,
@@ -104,6 +104,11 @@ class TestLift:
             lift(Circle((0.0, x), 1.0))
         with pytest.raises(ValueError, match=rf"^center must be finite, got {x!r}$"):
             inner_geometric(Circle((0.0, 0.0), 1.0), Circle((x, 0.0), 1.0))
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_offset_rejected(self, offset):
+        with pytest.raises(ValueError, match=rf"^offset must be finite, got {offset!r}$"):
+            lift(Halfplane((1.0, 0.0), offset))
 
     def test_huge_center_lifts_to_inf(self):
         assert lift(Circle((1e200, 0.0), 1.0)).gamma == math.inf
@@ -184,7 +189,7 @@ class TestNormalize:
             normalize((0, 0, 1, 1))
 
     def test_nan_rejected(self):
-        with pytest.raises(NotSpacelike, match=r"^<v,v> = nan is not negative$"):
+        with pytest.raises(NotSpacelike, match=r"^<v,v> = nan is not a number$"):
             normalize((math.nan, 0, 1, 0))
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
@@ -314,7 +319,7 @@ class TestGramian:
         ]
         f = gramian(vectors)
         d = np.column_stack([v.as_array() for v in vectors])
-        assert np.allclose(f, d.T @ MINKOWSKI_METRIC @ d, atol=1e-11)
+        assert np.allclose(f, d.T @ minkowski_metric(2) @ d, atol=1e-11)
         assert np.array_equal(f, f.T)
         assert np.allclose(np.diag(f), -1.0, atol=1e-9)
 
@@ -422,8 +427,8 @@ class TestVerifyGeneralized:
 
 
 def test_metric_inverse_is_exact():
-    assert np.array_equal(MINKOWSKI_METRIC @ MINKOWSKI_METRIC_INV, np.eye(4))
-    assert np.array_equal(MINKOWSKI_METRIC, MINKOWSKI_METRIC.T)
+    assert np.array_equal(minkowski_metric(2) @ minkowski_metric_inv(2), np.eye(4))
+    assert np.array_equal(minkowski_metric(2), minkowski_metric(2).T)
 
 
 def test_mixed_dimensions_rejected():

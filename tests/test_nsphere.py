@@ -24,13 +24,9 @@ from diskgeom import (
     verify_generalized,
     verify_generalized_n,
 )
-from diskgeom.minkowski import MINKOWSKI_METRIC
 
 
 class TestMetric:
-    def test_planar_case_matches_core_metric(self):
-        assert np.array_equal(minkowski_metric(2), MINKOWSKI_METRIC)
-
     def test_block_structure(self):
         g = minkowski_metric(3)
         assert g.shape == (5, 5)
