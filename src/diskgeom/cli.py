@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import io
 import json
 import math
 import os
@@ -265,6 +268,8 @@ def cmd_gasket(args: argparse.Namespace) -> int:
                 _write_output(csv_fh, csv_chunks(result))
             finally:
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code == EXIT_PARSE:  # the writer process has printed why
+            return EXIT_PARSE
         if code:
             raise DocumentError(f"cannot write {args.svg}: writer process exited with status {code}")
     else:
@@ -323,13 +328,8 @@ def cmd_project(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file: TextIO | None = None) -> None:  # argparse's own swallows write errors
-        print(self.format_help(), end="", file=file, flush=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="diskgeom",
         description="Tangent-disk geometry: verify configurations, solve tangency "
         "problems, grow Apollonian gaskets.",
@@ -412,22 +412,26 @@ def _join_seed_flag(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(_join_seed_flag(sys.argv[1:] if argv is None else argv))
-        code = args.func(args)
-        print(end="", flush=True)  # a closed stdout fails here at the latest, not in Python's exit
-        return code
+    try:  # every report, argparse's help too, is captured, so stdout is written, and can fail, in one place
+        with contextlib.redirect_stdout(io.StringIO()) as report:
+            args = build_parser().parse_args(_join_seed_flag(sys.argv[1:] if argv is None else argv))
+            code = args.func(args)
     except SystemExit as exc:  # argparse printed the help or a usage error
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    except BrokenPipeError as exc:
-        # what stays buffered goes to devnull, so that Python's own flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code = exc.code if isinstance(exc.code, int) else EXIT_PARSE
     except (ValueError, DiskGeomError) as exc:  # ValueError: the library's invalid arguments
         print(f"error: {exc}", file=sys.stderr)
-        codes = (code for err_type, code in _ERROR_CODES if isinstance(exc, err_type))
-        return next(codes, EXIT_PARSE)
+        code = next((mapped for err_type, mapped in _ERROR_CODES if isinstance(exc, err_type)), EXIT_PARSE)
+    if report.tell():
+        try:
+            if sys.stdout is None:  # Python found fd 1 closed at startup
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            print(report.getvalue(), end="", flush=True)
+        except OSError as exc:
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            if sys.stdout is not None:  # devnull takes what stays buffered, so Python's flush at exit cannot fail
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_PARSE
+    return code
 
 
 if __name__ == "__main__":

@@ -29,9 +29,6 @@ CHUNK_ROWS = 4096
 # dtype of the depth, parent and member stores, whose values stay below the disk count
 INDEX = np.int32
 
-# the slots that stay fixed when slot i is reflected, ascending
-_OTHERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-
 
 @dataclass(frozen=True)
 class GenerationLimits:
@@ -194,8 +191,9 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
             keep = frontier < level
             if limits.max_curvature is not None:
                 beta = vectors[:, 2][frontier]
-                for i, (a, b, c) in enumerate(_OTHERS):
-                    child = 2.0 * (beta[:, a] + beta[:, b] + beta[:, c]) - beta[:, i]
+                for i in range(4):  # the slots kept when slot i is reflected are k + (i <= k), ascending
+                    a, b, c = (beta[:, k + (i <= k)] for k in range(3))
+                    child = 2.0 * (a + b + c) - beta[:, i]
                     keep[:, i] &= ~(child > limits.max_curvature)
             parent, slot = np.nonzero(keep)
             if limits.max_count is not None:
@@ -205,8 +203,8 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
                 vectors, depths, parents, members = stores = _stores(max(2 * n, new.stop), stores, n)
             quads = members[new]
             np.take(frontier, parent, axis=0, out=quads, mode="clip")  # "raise" would buffer
-            # vieta_reflect's order of operations, so the values match it bit for bit;
-            # the k-th fixed slot of a child is k + (slot <= k), ascending as in _OTHERS
+            # vieta_reflect's order of operations, so the values match it bit for bit,
+            # over the kept slots k + (slot <= k) as in the pruning above
             a, b, c = (quads[rows, k + (slot <= k)] for k in range(3))
             # one expression, so numpy reuses its temporaries in place
             vectors[new] = 2.0 * (vectors[a] + vectors[b] + vectors[c]) - vectors[quads[rows, slot]]

@@ -361,7 +361,7 @@ class TestGasket:
         assert main(args) == 2
         out, err = capfd.readouterr()
         assert out == ""
-        assert err.startswith("error: cannot write /dev/full: ")
+        assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
         assert "No space left on device" in err
         assert csv_path.read_text().count("\n") == 1 + 56
 
@@ -694,28 +694,55 @@ CLOSED_STDOUT_ARGV = {
 }
 
 
+# how stdout fails for a subprocess: the test id suffix of the fault, and the reason its error line gives
+STDOUT_FAULTS = {
+    "pipe": ("", "[Errno 32] Broken pipe"),  # a pipe whose reader is gone before the run starts
+    "full": (" (stdout full)", "[Errno 28] No space left on device"),
+    "closed": (" (stdout closed)", "[Errno 9] Bad file descriptor"),
+}
+# each CLOSED_STDOUT_ARGV command exits 0 on an open stdout, so its one error line names stdout;
+# a run that fails before it writes stdout gives only its own error, whatever stdout is
+STDOUT_FAULT_CASES = {
+    f"{name}{shell}": (argv, fault, f"error: cannot write stdout: {reason}\n")
+    for fault, (shell, reason) in STDOUT_FAULTS.items()
+    for name, argv in CLOSED_STDOUT_ARGV.items()
+} | {
+    f"verify missing{shell}": (
+        ["verify", "MISSING"], fault, "error: cannot read MISSING: [Errno 2] No such file or directory: 'MISSING'\n"
+    )
+    for fault, (shell, _) in STDOUT_FAULTS.items()
+}
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", CLOSED_STDOUT_ARGV.values(), ids=CLOSED_STDOUT_ARGV)
-def test_closed_stdout_is_a_write_error(argv, unbuffered, tmp_path):
-    # each command exits 0 on an open stdout; here the pipe's reader is gone before it starts
+@pytest.mark.parametrize(("argv", "fault", "expected_err"), STDOUT_FAULT_CASES.values(), ids=STDOUT_FAULT_CASES)
+def test_closed_stdout_is_a_write_error(argv, fault, expected_err, unbuffered, tmp_path):
+    if fault == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
     paths = {
         "QUAD": write_doc(tmp_path, EQUILATERAL_QUAD_DOC),
         "TRIPLE": write_doc(tmp_path, TRIPLE_DOC, "triple.json"),
         "CSV": str(tmp_path / "out.csv"),
         "SVG": str(tmp_path / "out.svg"),
+        "MISSING": str(tmp_path / "missing.json"),
     }
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    argv = [sys.executable, "-m", "diskgeom.cli", *(paths.get(arg, arg) for arg in argv)]
+    if fault == "pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout = os.open("/dev/full" if fault == "full" else os.devnull, os.O_WRONLY)
     try:
-        argv = [sys.executable, "-m", "diskgeom.cli", *(paths.get(arg, arg) for arg in argv)]
-        done = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        # preexec_fn runs in the child after fd 1 is set up, so it closes fd 1 as the shell's ">&-" does
+        preexec = (lambda: os.close(1)) if fault == "closed" else None
+        done = subprocess.run(argv, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, preexec_fn=preexec)
     finally:
-        os.close(write_end)
-    assert (done.returncode, done.stderr) == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
+        os.close(stdout)
+    assert (done.returncode, done.stderr) == (2, expected_err.replace("MISSING", paths["MISSING"]))
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_DEPTH_8))
