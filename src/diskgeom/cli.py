@@ -42,10 +42,6 @@ EXIT_NOT_NORMALIZED = 7
 _NORMAL_DOC_TOL = 1e-9
 
 
-class DocumentError(ValueError):
-    """Malformed input document or arguments; maps to exit code 2."""
-
-
 class NonFiniteOutput(DiskGeomError):
     """A report value overflowed to inf or nan; maps to exit code 3."""
 
@@ -59,24 +55,24 @@ def fmt_float(x: float) -> str:
 
 
 def _reject_constant(token: str) -> float:
-    raise DocumentError(f"non-finite number {token!r} not allowed")
+    raise ValueError(f"non-finite number {token!r} not allowed")
 
 
 def _number(value: Any, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DocumentError(f"{what} must be a number, got {value!r}")
+        raise ValueError(f"{what} must be a number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:  # a JSON integer past the double range; its digits are not echoed
-        raise DocumentError(f"{what} must be finite, got an integer of {len(str(abs(value)))} digits") from None
+        raise ValueError(f"{what} must be finite, got an integer of {len(str(abs(value)))} digits") from None
     if not math.isfinite(x):
-        raise DocumentError(f"{what} must be finite, got {value!r}")
+        raise ValueError(f"{what} must be finite, got {value!r}")
     return x
 
 
 def _point(value: Any, what: str, length: int) -> tuple[float, ...]:
     if not isinstance(value, list) or len(value) != length:
-        raise DocumentError(f"{what} must be an array of {length} numbers")
+        raise ValueError(f"{what} must be an array of {length} numbers")
     return tuple(_number(v, what) for v in value)
 
 
@@ -85,7 +81,7 @@ def _parse_circle(entry: dict, label: str, dim: int) -> Circle:
     center = _point(entry.get("center"), f"{label} center", dim)
     radius = _number(entry.get("radius"), f"{label} radius")
     if radius == 0.0:
-        raise DocumentError(f"{label} radius must be nonzero")
+        raise ValueError(f"{label} radius must be nonzero")
     return Circle(center, radius)
 
 
@@ -94,7 +90,7 @@ def _parse_halfplane(entry: dict, label: str) -> Halfplane:
     offset = _number(entry.get("offset"), f"{label} offset")
     norm = math.hypot(*normal)
     if abs(norm - 1.0) > _NORMAL_DOC_TOL:
-        raise DocumentError(f"{label} normal must be unit length, |n| = {norm!r}")
+        raise ValueError(f"{label} normal must be unit length, |n| = {norm!r}")
     return Halfplane((normal[0] / norm, normal[1] / norm), offset / norm)
 
 
@@ -104,32 +100,29 @@ def load_document(path: str) -> tuple[str, list[Disk]]:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except DocumentError:  # _reject_constant's, already worded
-        raise
-    except (ValueError, RecursionError) as exc:  # also an integer past 4300 digits, or deep nesting
-        raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also a NaN token, an integer past 4300 digits, or deep nesting
+        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise DocumentError("document root must be an object")
+        raise ValueError("document root must be an object")
     entries = doc.get("disks")
     if not isinstance(entries, list) or not entries:
-        raise DocumentError("document must hold a non-empty 'disks' array")
+        raise ValueError("document must hold a non-empty 'disks' array")
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict) or "type" not in entry:
-            raise DocumentError(f"disk {k} must be an object with a 'type' field")
+            raise ValueError(f"disk {k} must be an object with a 'type' field")
+        if entry["type"] not in ("circle", "halfplane", "sphere"):  # == only: a JSON array is not hashable
+            raise ValueError(f"unknown disk type {entry['type']!r}")
     types = {entry["type"] for entry in entries}
-    unknown = types - {"circle", "halfplane", "sphere"}
-    if unknown:
-        raise DocumentError(f"unknown disk type {sorted(unknown)[0]!r}")
     if "sphere" in types:
         if types != {"sphere"}:
-            raise DocumentError("sphere records cannot be mixed with planar disks")
+            raise ValueError("sphere records cannot be mixed with planar disks")
         dim = doc.get("dim")
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
-            raise DocumentError("sphere documents need an integer 'dim' >= 2")
+            raise ValueError("sphere documents need an integer 'dim' >= 2")
         return "spheres", [_parse_circle(e, f"sphere {k}", dim) for k, e in enumerate(entries)]
     if "dim" in doc and doc["dim"] != 2:
-        raise DocumentError("planar documents must have dim 2 when 'dim' is present")
+        raise ValueError("planar documents must have dim 2 when 'dim' is present")
     disks = [
         _parse_circle(e, f"disk {k}", 2) if e["type"] == "circle" else _parse_halfplane(e, f"disk {k}")
         for k, e in enumerate(entries)
@@ -186,7 +179,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_solve4(args: argparse.Namespace) -> int:
     kind, disks = load_document(args.input)
     if kind != "planar" or len(disks) != 3:
-        raise DocumentError("solve4 needs a planar document with exactly 3 disks")
+        raise ValueError("solve4 needs a planar document with exactly 3 disks")
     vectors = [lift(d) for d in disks]
     roots = solve_fourth_disk(*vectors, tol=args.tol)
     curvatures = [v.beta for v in vectors]
@@ -204,11 +197,11 @@ def _parse_seed(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise DocumentError(f"invalid --seed value {text!r}: {exc}") from exc
+        raise ValueError(f"invalid --seed value {text!r}: {exc}") from exc
     if len(values) not in (3, 4):
-        raise DocumentError(f"--seed needs 3 or 4 comma-separated curvatures, got {len(values)}")
+        raise ValueError(f"--seed needs 3 or 4 comma-separated curvatures, got {len(values)}")
     if not all(math.isfinite(v) for v in values):
-        raise DocumentError("--seed curvatures must be finite")
+        raise ValueError("--seed curvatures must be finite")
     return values
 
 
@@ -216,7 +209,7 @@ def _open_output(path: str) -> TextIO:
     try:
         return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise DocumentError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_output(fh: TextIO, pieces: Iterable[str]) -> None:
@@ -225,7 +218,7 @@ def _write_output(fh: TextIO, pieces: Iterable[str]) -> None:
         with fh:
             fh.writelines(pieces)
     except OSError as exc:
-        raise DocumentError(f"cannot write {fh.name}: {exc}") from exc
+        raise ValueError(f"cannot write {fh.name}: {exc}") from exc
 
 
 def _write_in_child(fh: TextIO, pieces: Iterable[str]) -> int:
@@ -254,29 +247,26 @@ def cmd_gasket(args: argparse.Namespace) -> int:
     else:
         kind, disks = load_document(args.input)
         if kind != "planar" or len(disks) != 4:
-            raise DocumentError("gasket documents need exactly 4 planar disks")
+            raise ValueError("gasket documents need exactly 4 planar disks")
         quad = Quadruple(tuple(lift(d) for d in disks))
     limits = GenerationLimits(max_depth=args.depth, max_curvature=args.max_curvature, max_count=args.max_count)
     result = generate(quad, limits)
-    # svg_chunks does its array work, and raises EmptyGasket, before a file is opened
-    svg = svg_chunks(result, args.fill_by_depth) if args.svg else None
-    if args.csv and args.svg and hasattr(os, "fork"):
-        # both writers are bound by float formatting, so the SVG takes the second core
-        with _open_output(args.csv) as csv_fh, _open_output(args.svg) as svg_fh:
-            pid = _write_in_child(svg_fh, svg)
-            try:
-                _write_output(csv_fh, csv_chunks(result))
-            finally:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code == EXIT_PARSE:  # the writer process has printed why
-            return EXIT_PARSE
-        if code:
-            raise DocumentError(f"cannot write {args.svg}: writer process exited with status {code}")
-    else:
-        if args.csv:
-            _write_output(_open_output(args.csv), csv_chunks(result))
-        if args.svg:
-            _write_output(_open_output(args.svg), svg)
+    outputs = [(args.csv, csv_chunks(result))] if args.csv else []
+    if args.svg:  # svg_chunks does its array work, and raises EmptyGasket, before a file is opened
+        outputs.append((args.svg, svg_chunks(result, args.fill_by_depth)))
+    with contextlib.ExitStack() as opened:  # every output is opened before any is written
+        jobs = [(opened.enter_context(_open_output(path)), pieces) for path, pieces in outputs]
+        # both writers are bound by float formatting, so where os.fork exists the SVG takes the second core
+        pid = _write_in_child(*jobs.pop()) if len(jobs) == 2 and hasattr(os, "fork") else None
+        try:
+            for fh, pieces in jobs:
+                _write_output(fh, pieces)
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else EXIT_OK
+    if code == EXIT_PARSE:  # the writer process has printed why
+        return EXIT_PARSE
+    if code:
+        raise ValueError(f"cannot write {args.svg}: writer process exited with status {code}")
     # 1/x rounds monotonically, so the largest |curvature| gives the smallest radius
     b = result.disks.vectors[:, 2]
     top = max(b.max(initial=0.0), -b.min(initial=0.0))  # np.abs would copy the column
@@ -287,7 +277,7 @@ def cmd_gasket(args: argparse.Namespace) -> int:
 
 def cmd_soddy(args: argparse.Namespace) -> int:
     if not all(math.isfinite(b) for b in args.curvatures):
-        raise DocumentError("curvatures must be finite")
+        raise ValueError("curvatures must be finite")
     # relation and gate are homogeneous of degree 2, so they are decided on the curvatures over the
     # power of 2 that brings the largest into [1, 2); float products, which never raise, scale back
     unit = 2.0 ** (math.frexp(max(abs(b) for b in args.curvatures))[1] - 1)
@@ -315,7 +305,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 def cmd_project(args: argparse.Namespace) -> int:
     if not all(math.isfinite(v) for v in args.components):
-        raise DocumentError("project arguments must be finite")
+        raise ValueError("project arguments must be finite")
     disk = project(CircleVector(*args.components))
     if args.json:
         record = disk_record(disk)

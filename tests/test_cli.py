@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from diskgeom import DiskGeomError, Gasket, GenerationLimits, canonical_quadruple, generate, render_svg
 from diskgeom import cli
@@ -345,14 +347,19 @@ class TestGasket:
 
     @pytest.mark.parametrize("both", [False, True], ids=["alone", "both"])
     @pytest.mark.parametrize("flag", ["--csv", "--svg"])
-    def test_missing_output_directory(self, flag, both, tmp_path, capsys):
-        bad = str(tmp_path / "missing" / "out")
+    def test_missing_output_directory(self, flag, both, tmp_path, monkeypatch, capsys):
+        bad, other = str(tmp_path / "missing" / "out"), tmp_path / "other"
         args = ["gasket", "--seed", "-1,2,2,3", "--depth", "1", flag, bad]
         if both:
-            args += ["--svg" if flag == "--csv" else "--csv", str(tmp_path / "other")]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write {bad}: ") and err.count("\n") == 1
+            args += ["--svg" if flag == "--csv" else "--csv", str(other)]
+        for forks in (True, False):  # where os.fork exists, and where it does not
+            if not forks:
+                monkeypatch.delattr(os, "fork", raising=False)
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {bad}: ") and err.count("\n") == 1
+            if both:  # every output is opened, the CSV first, before any is written
+                assert (other.read_bytes() == b"") if flag == "--svg" else not other.exists()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_svg_writer_failure_reaches_exit_code(self, tmp_path, capfd):
@@ -611,6 +618,9 @@ class TestParsing:
             ('{"disks": []}', "document must hold a non-empty 'disks' array"),
             ('{"disks": [{"center": [0, 0], "radius": 1}]}', "disk 0 must be an object with a 'type' field"),
             ('{"disks": [{"type": "ellipse"}]}', "unknown disk type 'ellipse'"),
+            # a type JSON cannot hash, and unknown types of two JSON kinds: the first is named
+            ('{"disks": [{"type": ["circle"]}]}', "unknown disk type ['circle']"),
+            ('{"disks": [{"type": 1}, {"type": "x"}]}', "unknown disk type 1"),
             ('{"dim": 3, "disks": [%s]}' % UNIT_CIRCLE, "planar documents must have dim 2"),
             ('{"disks": [%s]}' % UNIT_CIRCLE.replace("1}", '"1"}'), "disk 0 radius must be a number"),
             # JSON reads 1e999 as inf without a non-finite token
@@ -799,20 +809,23 @@ def test_gasket_summary(flags, capsys):
     assert capsys.readouterr().out == f"disks: {count}\nmin radius: {radius}\n"
 
 
+# with both outputs the SVG is written by a forked child where os.fork exists;
+# the second run pins the in-process writes of both outputs to the same digests
 @pytest.mark.parametrize("flags", sorted(GOLDEN_LIMITS))
-def test_gasket_limits_golden(flags, tmp_path, capsys):
+def test_gasket_limits_golden(flags, tmp_path, monkeypatch, capsys):
     csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
     args = ["gasket", "--seed", *flags.split(), "--csv", str(csv_path), "--svg", str(svg_path)]
-    assert main(args) == 0
     count, *want = GOLDEN_LIMITS[flags]
-    assert f"disks: {count}\n" in capsys.readouterr().out
-    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, svg_path)]
-    assert digests == want
+    for forks in (True, False):
+        if not forks:
+            monkeypatch.delattr(os, "fork", raising=False)
+        assert main(args) == 0
+        assert f"disks: {count}\n" in capsys.readouterr().out
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, svg_path)]
+        assert digests == want
 
 
-# with both outputs the SVG is written by a forked child where os.fork exists,
-# and the goldens above pin those bytes; this pins the in-process writes of a
-# single output against the same digests
+# this pins the writes of a single output against the same digests
 @pytest.mark.parametrize("flags", sorted(GOLDEN_LIMITS))
 def test_gasket_outputs_alone_match_golden(flags, tmp_path, capsys):
     _, *want = GOLDEN_LIMITS[flags]
@@ -1049,3 +1062,56 @@ def test_oversized_document_is_a_parse_error(command, text, fragment, tmp_path, 
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and len(err) < 300
     assert err.startswith(f"error: {fragment.replace('DOC', str(path))}")
+
+
+# any JSON value; json.dumps writes a drawn inf or nan as the Infinity and NaN tokens the reader rejects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+NUMBERS = st.integers(-3, 3) | st.floats(-4.0, 4.0)
+RADII = st.sampled_from([-1, 1, 2]) | st.floats(0.25, 4.0) | st.floats(-4.0, -0.25)
+
+
+@st.composite
+def documents(draw):
+    """A planar or sphere document whose parts are each, now and then, any JSON value instead.
+
+    The root, dim and disks array are replaced one time in eight, a record and each of its
+    fields one time in 32, so that about a sixth of the verify runs get past parsing.
+    """
+
+    def part(plausible, odds):
+        return draw(JSON_VALUES if draw(st.integers(1, odds)) == odds else plausible)
+
+    dim = draw(st.sampled_from([2, 3]))
+    records = [
+        {
+            "type": part(st.sampled_from(["circle", "halfplane"] if dim == 2 else ["sphere"]), 32),
+            "center": part(st.lists(NUMBERS, min_size=dim, max_size=dim), 32),
+            "radius": part(RADII, 32),
+            "normal": part(st.sampled_from([[0, 1], [0, -1], [1, 0], [-1, 0]]), 32),
+            "offset": part(NUMBERS, 32),
+        }
+        for _ in range(draw(st.sampled_from([dim + 2, dim + 1])))  # verify and gasket need 4 disks, solve4 3
+    ]
+    disks = part(st.just([part(st.just(record), 32) for record in records]), 8)
+    return part(st.just({"dim": part(st.just(dim), 8), "disks": disks}), 8)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=documents())
+@example(doc={"disks": [{"type": ["circle"]}]})
+@example(doc={"disks": [{"type": 1}, {"type": "x"}]})
+@example(doc={"disks": [{"type": {"circle": 1}}]})
+def test_any_json_document_exits_with_a_documented_code(doc, tmp_path, capsys):
+    path = write_doc(tmp_path, doc)
+    for command in (["verify"], ["verify", "--json"], ["solve4"], ["gasket", "--depth", "1", "--input"]):
+        code = main([*command, path])  # no exception may escape
+        out, err = capsys.readouterr()
+        assert code in range(8)  # the README's exit codes
+        if code >= 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+        else:
+            assert err == ""

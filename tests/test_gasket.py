@@ -113,6 +113,32 @@ def reference_generate(seed: Quadruple, limits: GenerationLimits):
     return disks, quads, qdepths
 
 
+# every double times 2**1100 is an integer: the smallest subnormal is 2**-1074
+EXACT_SCALE = 2**1100
+
+
+def exact_int(x: float) -> int:
+    n, d = x.as_integer_ratio()
+    return n * (EXACT_SCALE // d)
+
+
+def exact_closure(g: Gasket) -> list[list[int]]:
+    """Every stored vector of g in exact integers scaled by EXACT_SCALE, from g's four seed rows.
+
+    A reflection is integer-linear, v' = 2(a + b + c) - d: for disk k >= 4, a, b and c are the
+    other members of the quadruple it made (quadruples.members[k - 3]), and d is the one member
+    of its parent quadruple (disks.quadruple_ids[k]) that its own quadruple lacks.
+    """
+    vectors = g.disks.vectors.tolist()
+    parents, members = g.disks.quadruple_ids.tolist(), g.quadruples.members.tolist()
+    exact = [[exact_int(x) for x in v] for v in vectors[:4]]
+    for k in range(4, len(vectors)):
+        (d,) = set(members[parents[k]]) - set(members[k - 3])
+        a, b, c = (exact[m] for m in members[k - 3] if m != k)
+        exact.append([2 * (ai + bi + ci) - di for ai, bi, ci, di in zip(a, b, c, exact[d])])
+    return exact
+
+
 def bits(vectors) -> bytes:
     """Raw float64 bytes, so signed zeros and last-bit differences count."""
     return np.array([tuple(v) for v in vectors], dtype=float).tobytes()
@@ -407,6 +433,22 @@ class TestOracles:
             dot = u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1]
             twice = u[:, 2] * w[:, 3] + w[:, 2] * u[:, 3] - 2.0 * dot
             assert np.all(twice == 2.0)
+
+    # Each reflection rounds its sums at about eps times the row's scale, so the error of a
+    # stored vector grows with its depth: max |stored - exact| <= C * depth * eps * rowscale,
+    # rowscale the row's largest exact component. Over 1,700 seeds from e^U(-2,3) to depth 6
+    # the worst C was 12.9 (median 0.78), so C = 64 leaves a margin of about 5.
+    @settings(max_examples=20, deadline=None)
+    @given(SIMILAR_SEEDS)
+    @example(SEED_CURVATURES)
+    @example((0.0, 0.0, 1.0, 1.0))
+    @example((-2.0, 3.0, 6.0, 7.0))
+    @example((0.7, 1.3, 2.9))
+    def test_stored_vectors_follow_the_exact_reflection_closure(self, curvatures):
+        g = generate(canonical_quadruple(curvatures), depth_limit(6))
+        for v, exact, depth in zip(g.disks.vectors.tolist(), exact_closure(g), g.disks.depths.tolist()):
+            error = max(abs(exact_int(x) - e) for x, e in zip(v, exact))
+            assert error * 2**52 <= 64 * depth * max(map(abs, exact))  # eps = 2**-52
 
     @pytest.mark.parametrize(
         "curvatures, limits",
