@@ -1,5 +1,7 @@
 """Tangent-disk geometry: Minkowski lifts, Descartes solvers, Apollonian gaskets."""
 
+import importlib
+
 from .errors import (
     BadDimension,
     ComplexRoots,
@@ -44,15 +46,19 @@ from .descartes import (
     tangent_disk_with_curvature,
     vieta_reflect,
 )
-from .gasket import (
-    Gasket,
-    GasketDisk,
-    GenerationLimits,
-    canonical_quadruple,
-    generate,
-    render_svg,
+
+# gasket and nsphere import numpy, so each loads on the first use of a name that needs it
+_LAZY = {"nsphere": "nsphere", "canonical_simplex_config": "nsphere"} | dict.fromkeys(
+    ["gasket", "Gasket", "GasketDisk", "GenerationLimits", "canonical_quadruple", "generate", "render_svg"], "gasket"
 )
-from .nsphere import canonical_simplex_config
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")  # which also binds the module's name here
+    return module if name == _LAZY[name] else getattr(module, name)
+
 
 # the n-dimensional names of the shared kernel
 NSphere = Circle

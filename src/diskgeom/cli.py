@@ -12,8 +12,6 @@ import os
 import sys
 from typing import Any, Iterable, Sequence, TextIO
 
-import numpy as np
-
 from .descartes import TANGENT_TOL, Quadruple, descartes_residual, soddy_gosset_residual, solve_fourth_disk
 from .errors import (
     ComplexRoots,
@@ -25,7 +23,6 @@ from .errors import (
     NotTangent,
     SingularMatrix,
 )
-from .gasket import GenerationLimits, canonical_quadruple, csv_chunks, generate, svg_chunks
 from .minkowski import Circle, CircleVector, Disk, Halfplane, configuration_identity, lift, project
 
 SCHEMA_VERSION = 1
@@ -43,7 +40,7 @@ _NORMAL_DOC_TOL = 1e-9
 
 
 class NonFiniteOutput(DiskGeomError):
-    """A report value overflowed to inf or nan; maps to exit code 3."""
+    """A report value or a gasket disk overflowed to inf or nan; maps to exit code 3."""
 
 
 def fmt_float(x: float) -> str:
@@ -242,6 +239,9 @@ def _write_in_child(fh: TextIO, pieces: Iterable[str]) -> int:
 
 
 def cmd_gasket(args: argparse.Namespace) -> int:
+    import numpy as np
+    from .gasket import CHUNK_ROWS, GenerationLimits, canonical_quadruple, csv_chunks, generate, svg_chunks
+
     if args.seed is not None:
         quad = canonical_quadruple(_parse_seed(args.seed))
     else:
@@ -251,6 +251,13 @@ def cmd_gasket(args: argparse.Namespace) -> int:
         quad = Quadruple(tuple(lift(d) for d in disks))
     limits = GenerationLimits(max_depth=args.depth, max_curvature=args.max_curvature, max_count=args.max_count)
     result = generate(quad, limits)
+    for lo in range(0, len(result.disks), CHUNK_ROWS):  # a circle past the double range fails before a file opens
+        xdot, ydot, beta = result.disks.vectors[lo : lo + CHUNK_ROWS, :3].T
+        with np.errstate(all="ignore"):  # radius and center as project and the SVG form them
+            r = 1.0 / beta
+            bad = (beta != 0.0) & ~(np.isfinite(r) & np.isfinite(xdot * r) & np.isfinite(ydot * r))
+        if bad.any():
+            raise NonFiniteOutput(f"disk {lo + int(bad.argmax())} has a non-finite radius or center")
     outputs = [(args.csv, csv_chunks(result))] if args.csv else []
     if args.svg:  # svg_chunks does its array work, and raises EmptyGasket, before a file is opened
         outputs.append((args.svg, svg_chunks(result, args.fill_by_depth)))

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
+# numpy is imported in the functions that use it: lift, project and the solvers start without it
 from .errors import (
     BadDimension,
     DegenerateConfiguration,
@@ -34,6 +33,7 @@ from .errors import (
 
 @functools.cache
 def _block_metric(n: int, swap: float) -> np.ndarray:
+    import numpy as np
     if n < 2:
         raise BadDimension(f"dimension must be >= 2, got {n!r}")
     g = np.diag([-1.0] * n + [0.0, 0.0])
@@ -117,6 +117,7 @@ class CircleVector:
         return self.coords[k]
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([*self.coords, self.beta, self.gamma])
 
     def __iter__(self):
@@ -213,9 +214,14 @@ def inner_geometric(d1: Disk, d2: Disk) -> float:
     if isinstance(d1, Halfplane) or isinstance(d2, Halfplane):
         return inner(lift(d1), lift(d2))
     r1, r2 = _radius(d1), _radius(d2)
+    # degree 0 in the lengths: dividing small ones by a power of 2 near sqrt|r1*r2| is exact and keeps
+    # 2*r1*r2 from underflowing, so a product below max/16 keeps its bits unless the unscaled one underflowed
+    unit = 2.0 ** min(0, (math.frexp(r1)[1] + math.frexp(r2)[1]) // 2 - 1)
+    r1, r2 = r1 / unit, r2 / unit
     s = 0.0  # balls of different dimensions raise ValueError
     for a, b in zip(d1.center, d2.center, strict=True):
-        s += (b - a) * (b - a)
+        x = (b - a) / unit
+        s += x * x
     if not math.isfinite(s):
         _check_center((*d1.center, *d2.center))
     return (s - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
@@ -229,6 +235,7 @@ def intersection_angle(d1: Disk, d2: Disk) -> float | None:
 
 def _lifted_rows(vectors: Sequence) -> np.ndarray:
     """(n+2, n+2) array whose rows are n+2 lifted vectors (coords, beta, gamma)."""
+    import numpy as np
     if not vectors:
         raise ValueError("no vectors given")
     # np.array raises ValueError on vectors of different dimensions
@@ -241,6 +248,7 @@ def _lifted_rows(vectors: Sequence) -> np.ndarray:
 
 
 def _gramian_of_rows(rows: np.ndarray) -> np.ndarray:
+    import numpy as np
     n = len(rows) - 2
     coords, beta, gamma = rows[:, :n], rows[:, n], rows[:, n + 1]
     # huge finite inputs may overflow to inf or nan here; invert_matrix
@@ -262,6 +270,7 @@ def invert_matrix(m: np.ndarray) -> np.ndarray:
 
     Non-finite entries raise SingularMatrix naming the first such entry.
     """
+    import numpy as np
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
@@ -271,8 +280,9 @@ def invert_matrix(m: np.ndarray) -> np.ndarray:
         raise SingularMatrix(f"non-finite entry {float(m[i, j])!r} at ({i}, {j})")
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
-    # det(m / scale) = det(m) / scale^n, without overflowing scale^n
-    det = float(np.linalg.det(m / scale))
+    # det(m / scale) = det(m) / scale^n, without overflowing scale^n; the gate, not a warning, reports a 0 pivot
+    with np.errstate(divide="ignore"):
+        det = float(np.linalg.det(m / scale))
     if abs(det) < _SINGULAR_GATE:
         raise SingularMatrix(
             f"determinant {det!r} of the matrix scaled by 1/{scale!r} is below {_SINGULAR_GATE!r}"
@@ -282,6 +292,7 @@ def invert_matrix(m: np.ndarray) -> np.ndarray:
 
 def invert4(m: np.ndarray) -> np.ndarray:
     """Inverse of a 4x4 matrix; raises SingularMatrix at the determinant gate."""
+    import numpy as np
     if np.shape(m) != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {np.shape(m)}")
     return invert_matrix(m)
@@ -295,6 +306,7 @@ def configuration_identity(vectors: Sequence) -> tuple[np.ndarray, np.ndarray, f
     so the residual measures only numerical noise and input inconsistency.
     Raises SingularMatrix at the inversion gate.
     """
+    import numpy as np
     rows = _lifted_rows(vectors)
     f = _gramian_of_rows(rows)
     finv = invert_matrix(f)

@@ -333,15 +333,24 @@ class TestGasket:
         assert err.startswith(f"error: cannot allocate the arrays of {count} disks: ")
         assert not csv_path.exists() and not svg_path.exists()
 
+    # a radius of 1e310 is not a double: the CSV got an inf center and the SVG a nan viewBox
+    @pytest.mark.parametrize("seed", ["1,1,1e-310", "1,1,-1e-310"])
+    def test_circle_past_the_double_range_fails_before_a_file_opens(self, seed, tmp_path, capsys):
+        csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+        assert main(["gasket", f"--seed={seed}", "--depth", "1", "--csv", str(csv_path), "--svg", str(svg_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: disk 2 has a non-finite radius or center\n"
+        assert not csv_path.exists() and not svg_path.exists()
+
     def test_empty_gasket_rejected_before_svg_is_opened(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "generate", empty_gasket)
+        monkeypatch.setattr("diskgeom.gasket.generate", empty_gasket)
         svg_path = tmp_path / "out.svg"
         assert main(["gasket", "--seed", "-1,2,2,3", "--depth", "1", "--svg", str(svg_path)]) == 2
         assert "no disks" in capsys.readouterr().err
         assert not svg_path.exists()
 
     def test_empty_gasket_has_no_min_radius(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "generate", empty_gasket)
+        monkeypatch.setattr("diskgeom.gasket.generate", empty_gasket)
         assert main(["gasket", "--seed", "-1,2,2,3", "--depth", "1"]) == 0
         assert capsys.readouterr().out == "disks: 0\nmin radius: n/a\n"
 
@@ -685,6 +694,58 @@ def test_module_run_matches_main(tmp_path, capsys):
     assert outputs[0][0].startswith("disks: 164\n")
 
 
+# every public name of the package; gasket and nsphere, and the names they export, load on first use
+PUBLIC_NAMES = """
+    BadDimension Circle CircleVector ComplexRoots DegenerateConfiguration DegenerateTriple Disk DiskGeomError
+    EmptyGasket Gasket GasketDisk GenerationLimits Halfplane InvalidIndex InvalidSeed NSphere NonUnitNormal
+    NotNormalized NotSpacelike NotTangent Quadruple SingularMatrix ZeroRadius canonical_quadruple
+    canonical_simplex_config descartes descartes_residual errors gasket generate gramian inner inner_geometric
+    inner_sphere intersection_angle invert4 invert_matrix lift lift_sphere minkowski minkowski_metric
+    minkowski_metric_inv normalize nsphere project render_svg soddy_gosset_residual solve_fourth_curvature
+    solve_fourth_disk tangency_residual tangent_disk_with_curvature verify_generalized verify_generalized_n
+    vieta_reflect __version__
+""".split()
+
+# run in a fresh interpreter: argv holds a 3-disk and a 4-disk document, then the public names
+NUMPY_ON_DEMAND = """
+import json, sys
+import diskgeom, diskgeom.cli
+triple, quad, *names = sys.argv[1:]
+floats_only = [
+    ["solve4", triple], ["soddy", "--dim", "2", "--", "-1", "2", "2", "3"],
+    ["lift", "circle", "0", "0", "1"], ["project", "0", "0", "1", "-1"],
+]
+codes = [diskgeom.cli.main(argv) for argv in floats_only]
+numpy_before = "numpy" in sys.modules
+codes += [diskgeom.cli.main(["verify", quad]), diskgeom.cli.main(["gasket", "--seed", "-1,2,2,3", "--depth", "2"])]
+numpy_after = "numpy" in sys.modules
+missing = [name for name in names if not hasattr(diskgeom, name)]
+for name in names:  # an ImportError fails the run
+    exec(f"from diskgeom import {name}")
+try:
+    diskgeom.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([codes, numpy_before, numpy_after, missing, unknown]))
+"""
+
+
+# solve4, soddy, lift and project compute in Python floats, so a process that runs only them never
+# imports numpy; verify and gasket import it when they run
+def test_numpy_loads_only_for_verify_and_gasket(tmp_path):
+    docs = [write_doc(tmp_path, TRIPLE_DOC, "triple.json"), write_doc(tmp_path, QUAD_DOC, "quad.json")]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = [sys.executable, "-c", NUMPY_ON_DEMAND, *docs, *PUBLIC_NAMES]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    codes, numpy_before, numpy_after, missing, unknown = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * 6
+    assert (numpy_before, numpy_after) == (False, True)
+    assert missing == []
+    assert unknown == "module 'diskgeom' has no attribute 'no_such_name'"
+
+
 def test_module_run_error_exit(tmp_path):
     done = run_module("gasket", "--input", write_doc(tmp_path, NON_TANGENT_QUAD_DOC), "--depth", "1")
     assert done.returncode == 6
@@ -969,7 +1030,7 @@ def test_indices_past_int32_are_not_allocated():
 # absolute values (0.94 MB); the bound is about twice the 0.24 MB peak of a
 # first call, later calls peak at 0.04 MB
 def test_gasket_summary_memory_is_bounded(depth_10_gasket, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "generate", lambda seed, limits: depth_10_gasket)
+    monkeypatch.setattr("diskgeom.gasket.generate", lambda seed, limits: depth_10_gasket)
     peak = traced_peak_mb(lambda: main(["gasket", "--seed", "-1,2,2,3", "--depth", "10"]))
     assert capsys.readouterr().out == "disks: 118100\nmin radius: 5.343764361366721e-06\n"
     assert peak <= 0.5
@@ -1024,6 +1085,11 @@ EXTREME_RUNS = [
     ])
     for values in extreme_draws(width, seed)
 ]
+# gaskets that write both files; OUT marks a path in a fresh directory, which a failed run leaves empty
+EXTREME_RUNS += [
+    (("gasket", "--depth", "1", "--csv", "OUT.csv", "--svg", "OUT.svg", "--seed"), ("1", "1", b))
+    for b in ("1e-310", "-1e-310")
+]
 
 
 @pytest.mark.parametrize("prefix, values", EXTREME_RUNS, ids=lambda x: " ".join(x))
@@ -1034,6 +1100,10 @@ def test_extreme_values_exit_with_a_documented_code(prefix, values, request, cap
         argv = [*prefix[:-1], "--seed=" + ",".join(values)]
     else:
         argv = [*prefix, *values]
+    outputs = [arg for arg in argv if arg.startswith("OUT.")]
+    if outputs:
+        out_dir = request.getfixturevalue("tmp_path")
+        argv = [str(out_dir / arg) if arg in outputs else arg for arg in argv]
     code = main(argv)  # no exception may escape
     out, err = capsys.readouterr()
     assert code in range(8)  # the README's exit codes
@@ -1041,6 +1111,8 @@ def test_extreme_values_exit_with_a_documented_code(prefix, values, request, cap
         assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
     else:
         assert err == "" and ("FAIL" in out) == (code == 1)
+    if outputs:
+        assert sorted(p.name for p in out_dir.iterdir()) == ([] if code >= 2 else sorted(outputs))
 
 
 # documents that json or float() cannot hold: each names its file or field in one short line

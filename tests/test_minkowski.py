@@ -1,8 +1,10 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from diskgeom import (
@@ -43,6 +45,10 @@ def circles(draw, max_center=1e3, min_radius=1e-3, max_radius=1e3):
     mag = draw(st.floats(min_radius, max_radius))
     sign = draw(st.sampled_from([1.0, -1.0]))
     return Circle((x, y), sign * mag)
+
+
+# 0, or a double of magnitude 2^-301 to 2^300
+MODERATE = st.builds(math.ldexp, st.just(0.0) | st.floats(0.5, 1.0) | st.floats(-1.0, -0.5), st.integers(-300, 300))
 
 
 @st.composite
@@ -283,6 +289,23 @@ class TestInnerGeometric:
         c2 = Circle((r1 - r2, 0.0), r2)
         assert inner_geometric(c1, c2) == pytest.approx(-1.0, abs=1e-12)
 
+    # 2*r1*r2 underflows to 0 below r = 1e-162; the lengths are scaled by a power of 2 first
+    @pytest.mark.parametrize("r", [1e-170, 1e-300, 2.0**-1074])
+    def test_tiny_tangent_disks_give_one(self, r):
+        assert inner_geometric(Circle((0.0, 0.0), r), Circle((2.0 * r, 0.0), r)) == 1.0
+        assert intersection_angle(Circle((0.0, 0.0), r), Circle((2.0 * r, 0.0), r)) == 0.0
+
+    # that scaling is exact, so where the unscaled formula neither underflows nor nears overflow
+    # it gives the same bits
+    @given(st.lists(MODERATE, min_size=6, max_size=6))
+    def test_scaling_keeps_the_bits_of_the_unscaled_formula(self, xs):
+        x1, y1, r1, x2, y2, r2 = xs
+        assume(r1 != 0.0 and r2 != 0.0)
+        s = (x2 - x1) * (x2 - x1) + (y2 - y1) * (y2 - y1)
+        unscaled = (s - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
+        if abs(unscaled) < sys.float_info.max / 16:
+            assert inner_geometric(Circle((x1, y1), r1), Circle((x2, y2), r2)) == unscaled
+
 
 class TestIntersectionAngle:
     def test_tangent_is_zero(self):
@@ -382,6 +405,14 @@ class TestInvert4:
         m[2, 1] = bad
         with pytest.raises(SingularMatrix, match=rf"non-finite entry {bad!r} at \(2, 1\)"):
             invert_matrix(m)
+
+    # an exact zero pivot makes det take log(0); the caller gets SingularMatrix, not numpy's RuntimeWarning
+    def test_zero_pivot_raises_no_warning(self):
+        m = [[0, 0, 1, 0], [5e-324, 1e-160, -1, 0], [0, 1e-300, -0.0, -1], [5e-324, 0, -1, 1e-300]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix, match="^determinant 0.0 of the matrix scaled by 1/1.0 is below"):
+                invert_matrix(m)
 
     def test_huge_entries_do_not_overflow_the_gate(self):
         # scale**4 overflows a double; the gate must still decide
