@@ -11,6 +11,7 @@ from .errors import (
     EmptyGasket,
     InvalidIndex,
     InvalidSeed,
+    NonFiniteOutput,
     NonUnitNormal,
     NotNormalized,
     NotSpacelike,
@@ -46,18 +47,17 @@ from .descartes import (
     tangent_disk_with_curvature,
     vieta_reflect,
 )
+from .nsphere import canonical_simplex_config
 
-# gasket and nsphere import numpy, so each loads on the first use of a name that needs it
-_LAZY = {"nsphere": "nsphere", "canonical_simplex_config": "nsphere"} | dict.fromkeys(
-    ["gasket", "Gasket", "GasketDisk", "GenerationLimits", "canonical_quadruple", "generate", "render_svg"], "gasket"
-)
+# gasket imports numpy, so it loads on the first use of one of its names
+_GASKET_NAMES = {"gasket", "Gasket", "GasketDisk", "GenerationLimits", "canonical_quadruple", "generate", "render_svg"}
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    if name not in _GASKET_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")  # which also binds the module's name here
-    return module if name == _LAZY[name] else getattr(module, name)
+    module = importlib.import_module(f"{__name__}.gasket")  # which also binds the module's name here
+    return module if name == "gasket" else getattr(module, name)
 
 
 # the n-dimensional names of the shared kernel
@@ -67,3 +67,8 @@ inner_sphere = inner
 verify_generalized_n = verify_generalized
 
 __version__ = "0.1.0"
+__all__ = sorted({name for name in globals() if name[0] != "_"} - {"importlib"} | _GASKET_NAMES)
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _GASKET_NAMES)

@@ -18,6 +18,7 @@ from .errors import (
     DegenerateTriple,
     DiskGeomError,
     InvalidSeed,
+    NonFiniteOutput,
     NotNormalized,
     NotSpacelike,
     NotTangent,
@@ -37,10 +38,6 @@ EXIT_INVALID_SEED = 6
 EXIT_NOT_NORMALIZED = 7
 
 _NORMAL_DOC_TOL = 1e-9
-
-
-class NonFiniteOutput(DiskGeomError):
-    """A report value or a gasket disk overflowed to inf or nan; maps to exit code 3."""
 
 
 def fmt_float(x: float) -> str:
@@ -135,7 +132,7 @@ def disk_record(d: Disk) -> dict:
     return {"type": "halfplane", "normal": [nx + 0.0, ny + 0.0], "offset": d.offset + 0.0}
 
 
-def _print_matrix(name: str, m: np.ndarray) -> None:
+def _print_matrix(name: str, m: Iterable[Iterable[float]]) -> None:
     print(f"{name} =")
     for row in m:
         print("  " + " ".join(fmt_float(v) for v in row))
@@ -239,8 +236,7 @@ def _write_in_child(fh: TextIO, pieces: Iterable[str]) -> int:
 
 
 def cmd_gasket(args: argparse.Namespace) -> int:
-    import numpy as np
-    from .gasket import CHUNK_ROWS, GenerationLimits, canonical_quadruple, csv_chunks, generate, svg_chunks
+    from .gasket import GenerationLimits, canonical_quadruple, csv_chunks, generate, svg_chunks
 
     if args.seed is not None:
         quad = canonical_quadruple(_parse_seed(args.seed))
@@ -250,16 +246,9 @@ def cmd_gasket(args: argparse.Namespace) -> int:
             raise ValueError("gasket documents need exactly 4 planar disks")
         quad = Quadruple(tuple(lift(d) for d in disks))
     limits = GenerationLimits(max_depth=args.depth, max_curvature=args.max_curvature, max_count=args.max_count)
-    result = generate(quad, limits)
-    for lo in range(0, len(result.disks), CHUNK_ROWS):  # a circle past the double range fails before a file opens
-        xdot, ydot, beta = result.disks.vectors[lo : lo + CHUNK_ROWS, :3].T
-        with np.errstate(all="ignore"):  # radius and center as project and the SVG form them
-            r = 1.0 / beta
-            bad = (beta != 0.0) & ~(np.isfinite(r) & np.isfinite(xdot * r) & np.isfinite(ydot * r))
-        if bad.any():
-            raise NonFiniteOutput(f"disk {lo + int(bad.argmax())} has a non-finite radius or center")
+    result = generate(quad, limits)  # raises NonFiniteOutput for a circle past the double range
     outputs = [(args.csv, csv_chunks(result))] if args.csv else []
-    if args.svg:  # svg_chunks does its array work, and raises EmptyGasket, before a file is opened
+    if args.svg:  # svg_chunks does its array work, and raises its errors, before a file is opened
         outputs.append((args.svg, svg_chunks(result, args.fill_by_depth)))
     with contextlib.ExitStack() as opened:  # every output is opened before any is written
         jobs = [(opened.enter_context(_open_output(path)), pieces) for path, pieces in outputs]

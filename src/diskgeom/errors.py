@@ -53,5 +53,9 @@ class EmptyGasket(DiskGeomError):
     """Gasket holds no disks."""
 
 
+class NonFiniteOutput(DiskGeomError):
+    """A gasket disk, an SVG viewport or a report value is not a finite double."""
+
+
 class BadDimension(DiskGeomError):
     """Ambient dimension below 2."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._text import join_rows, repr_rows, text_rows
 from .descartes import Quadruple, solve_fourth_curvature, solve_fourth_disk, tangent_disk_with_curvature
-from .errors import DiskGeomError, EmptyGasket, InvalidSeed
+from .errors import DiskGeomError, EmptyGasket, InvalidSeed, NonFiniteOutput
 from .minkowski import Circle, CircleVector, Halfplane, halfplane_geometry, lift
 
 # rows that the SVG and CSV writers turn into text at a time, bounding their memory
@@ -146,7 +146,8 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
     regenerate the parent).  Children are laid out parent-major, then in
     slot order, which makes the stored disk sequence deterministic.  A disk
     above max_curvature prunes its whole quadruple; max_count cuts the
-    level it is reached in.
+    level it is reached in.  A circle whose radius or center is not a
+    finite double raises NonFiniteOutput.
     """
     try:
         seed.validate()
@@ -215,6 +216,12 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
         first = level = start
     if n < len(vectors):
         vectors, depths, parents, members = _stores(n, stores, n)
+    for lo in range(0, n, CHUNK_ROWS):  # every circle must be one that the writers can draw
+        chunk = vectors[lo : lo + CHUNK_ROWS]
+        with np.errstate(all="ignore"):
+            bad = (chunk[:, 2] != 0.0) & ~np.isfinite(_circles(chunk)[:3]).all(axis=0)
+        if bad.any():
+            raise NonFiniteOutput(f"disk {lo + int(bad.argmax())} has a non-finite radius or center")
     return Gasket(GasketDisks(vectors, depths, parents), GasketQuadruples(members[3:], vectors))
 
 
@@ -285,7 +292,8 @@ def _circles(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
 def svg_chunks(g: Gasket, fill_by_depth: bool = False) -> Iterator[str]:
     """render_svg's document as pieces of at most CHUNK_ROWS circle elements each.
 
-    EmptyGasket is raised by this call, before the first piece is taken.
+    EmptyGasket, and NonFiniteOutput for a viewport that is not finite,
+    are raised by this call, before the first piece is taken.
     """
     if not g.disks:
         raise EmptyGasket("no disks to render")
@@ -304,11 +312,12 @@ def svg_chunks(g: Gasket, fill_by_depth: bool = False) -> Iterator[str]:
         frames = [_circles(enclosing[[np.argmax(np.abs(1.0 / enclosing[:, 2]))]])]
     else:  # or else all circles do
         frames = circle_chunks()
-    boxes = [
-        ((cx - r).min(), (cy - r).min(), (cx + r).max(), (cy + r).max())
-        for cx, cy, r, *_ in frames
-        if len(r)
-    ]
+    with np.errstate(over="ignore"):  # a finite circle may reach past the double range
+        boxes = [
+            ((cx - r).min(), (cy - r).min(), (cx + r).max(), (cy + r).max())
+            for cx, cy, r, *_ in frames
+            if len(r)
+        ]
     xmin, ymin = np.min(boxes, axis=0)[:2].tolist() if boxes else (-1.0, -1.0)
     xmax, ymax = np.max(boxes, axis=0)[2:].tolist() if boxes else (1.0, 1.0)
     margin = 0.02 * max(xmax - xmin, ymax - ymin)
@@ -316,6 +325,8 @@ def svg_chunks(g: Gasket, fill_by_depth: bool = False) -> Iterator[str]:
     ymin -= margin
     width = xmax + margin - xmin
     height = ymax + margin - ymin
+    if not all(map(math.isfinite, (xmin, ymin, width, height))):  # which also bound the stroke width
+        raise NonFiniteOutput(f"the SVG viewport {xmin!r} {ymin!r} {width!r} {height!r} is not finite")
     stroke = f'stroke="#000000" stroke-width="{0.005 * max(width, height)!r}"/>\n'
     head = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',

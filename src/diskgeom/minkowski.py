@@ -233,23 +233,17 @@ def intersection_angle(d1: Disk, d2: Disk) -> float | None:
     return math.acos(p) if abs(p) <= 1.0 else None  # a nan product misses too
 
 
-def _lifted_rows(vectors: Sequence) -> np.ndarray:
-    """(n+2, n+2) array whose rows are n+2 lifted vectors (coords, beta, gamma)."""
+def _rows_and_gramian(vectors: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """(n+2, n+2) array whose rows are n+2 lifted vectors (coords, beta, gamma), and their Gramian."""
     import numpy as np
     if not vectors:
         raise ValueError("no vectors given")
     # np.array raises ValueError on vectors of different dimensions
     rows = np.array([tuple(v) for v in vectors], dtype=float)
     m, k = rows.shape
+    n = k - 2
     if m != k:
-        n = k - 2
         raise ValueError(f"need n+2 = {n + 2} vectors for n = {n}, got {m}")
-    return rows
-
-
-def _gramian_of_rows(rows: np.ndarray) -> np.ndarray:
-    import numpy as np
-    n = len(rows) - 2
     coords, beta, gamma = rows[:, :n], rows[:, n], rows[:, n + 1]
     # huge finite inputs may overflow to inf or nan here; invert_matrix
     # rejects a non-finite Gramian, so numpy need not warn about it
@@ -257,12 +251,12 @@ def _gramian_of_rows(rows: np.ndarray) -> np.ndarray:
         bg = np.multiply.outer(beta, gamma)
         # bg + bg.T adds the same two products in either order, and numpy forms
         # a @ a.T as one symmetric rank-k update, so f is exactly symmetric
-        return 0.5 * (bg + bg.T) - coords @ coords.T
+        return rows, 0.5 * (bg + bg.T) - coords @ coords.T
 
 
 def gramian(vectors: Sequence) -> np.ndarray:
     """Symmetric matrix of pairwise products of n+2 lifted vectors in n-space."""
-    return _gramian_of_rows(_lifted_rows(vectors))
+    return _rows_and_gramian(vectors)[1]
 
 
 def invert_matrix(m: np.ndarray) -> np.ndarray:
@@ -307,8 +301,7 @@ def configuration_identity(vectors: Sequence) -> tuple[np.ndarray, np.ndarray, f
     Raises SingularMatrix at the inversion gate.
     """
     import numpy as np
-    rows = _lifted_rows(vectors)
-    f = _gramian_of_rows(rows)
+    rows, f = _rows_and_gramian(vectors)
     finv = invert_matrix(f)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as an inf/nan residual
         resid = rows.T @ finv @ rows - minkowski_metric_inv(len(f) - 2)

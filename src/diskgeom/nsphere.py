@@ -10,24 +10,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import BadDimension
 from .minkowski import Circle
-
-
-def _simplex_vertices(n: int) -> np.ndarray:
-    """Vertices of the regular n-simplex with edge 2 centered at the origin.
-
-    Scaled standard basis vectors of R^(n+1) mapped isometrically onto the
-    sum-zero subspace through the Helmert orthonormal basis.
-    """
-    h = np.zeros((n, n + 1))
-    for k in range(1, n + 1):
-        scale = 1.0 / math.sqrt(k * (k + 1))
-        h[k - 1, :k] = scale
-        h[k - 1, k] = -k * scale
-    return math.sqrt(2.0) * h.T
 
 
 def canonical_simplex_config(n: int, outer: bool = False) -> list[Circle]:
@@ -39,9 +23,14 @@ def canonical_simplex_config(n: int, outer: bool = False) -> list[Circle]:
     """
     if n < 2:
         raise BadDimension(f"dimension must be >= 2, got {n!r}")
-    verts = _simplex_vertices(n)
     circumradius = math.sqrt(2.0 * n / (n + 1.0))
     central = -(circumradius + 1.0) if outer else circumradius - 1.0
-    spheres = [Circle(tuple(v), 1.0) for v in verts.tolist()]
+    # the regular n-simplex with edge 2: vertex i is sqrt(2) e_i of R^(n+1) in coordinates of the
+    # Helmert orthonormal basis k = 1..n of the sum-zero subspace, which also centers it at the origin
+    root2, scales = math.sqrt(2.0), [1.0 / math.sqrt(k * (k + 1)) for k in range(1, n + 1)]
+    spheres = [
+        Circle(tuple(root2 * (s if i < k else -k * s if i == k else 0.0) for k, s in enumerate(scales, 1)), 1.0)
+        for i in range(n + 1)
+    ]
     spheres.append(Circle((0.0,) * n, central))
     return spheres

@@ -342,6 +342,14 @@ class TestGasket:
         assert out == "" and err == "error: disk 2 has a non-finite radius or center\n"
         assert not csv_path.exists() and not svg_path.exists()
 
+    def test_svg_viewport_past_the_double_range_fails_before_a_file_opens(self, tmp_path, capsys):
+        csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+        argv = ["gasket", "--seed=1.7,-5.9e-309,6", "--depth", "1", "--csv", str(csv_path), "--svg", str(svg_path)]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: the SVG viewport -inf -inf inf inf is not finite\n"
+        assert not csv_path.exists() and not svg_path.exists()
+
     def test_empty_gasket_rejected_before_svg_is_opened(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("diskgeom.gasket.generate", empty_gasket)
         svg_path = tmp_path / "out.svg"
@@ -746,6 +754,36 @@ def test_numpy_loads_only_for_verify_and_gasket(tmp_path):
     assert unknown == "module 'diskgeom' has no attribute 'no_such_name'"
 
 
+# run in a fresh interpreter: the numpy flags after the plain imports and after an n-sphere query,
+# then the star import's names and dir(diskgeom)
+STAR_IMPORT = """
+import json, sys
+import diskgeom, diskgeom.cli, diskgeom.nsphere
+plain = "numpy" in sys.modules
+diskgeom.nsphere.canonical_simplex_config(5)
+diskgeom.canonical_simplex_config(5, outer=True)
+nsphere = "numpy" in sys.modules
+listed = dir(diskgeom)
+namespace = {}
+exec("from diskgeom import *", namespace)
+print(json.dumps([plain, nsphere, sorted(set(namespace) - {"__builtins__"}), listed]))
+"""
+
+
+# the check above, extended: nsphere computes in Python floats, and cli imports no numpy itself
+def test_star_import_binds_every_public_name_and_nsphere_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", STAR_IMPORT], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    plain, nsphere, star, listed = json.loads(done.stdout.splitlines()[-1])
+    assert (plain, nsphere) == (False, False)
+    # the 54 public names, the gasket names that load lazily included, and NonFiniteOutput
+    public = set(PUBLIC_NAMES) - {"__version__"}
+    assert len(public) == 54
+    assert star == sorted(public | {"NonFiniteOutput"})
+    assert set(star) | {"__version__"} <= set(listed)
+
+
 def test_module_run_error_exit(tmp_path):
     done = run_module("gasket", "--input", write_doc(tmp_path, NON_TANGENT_QUAD_DOC), "--depth", "1")
     assert done.returncode == 6
@@ -1090,6 +1128,10 @@ EXTREME_RUNS += [
     (("gasket", "--depth", "1", "--csv", "OUT.csv", "--svg", "OUT.svg", "--seed"), ("1", "1", b))
     for b in ("1e-310", "-1e-310")
 ]
+# a gasket of finite circles whose SVG viewport is not finite
+EXTREME_RUNS.append(
+    (("gasket", "--depth", "1", "--csv", "OUT.csv", "--svg", "OUT.svg", "--seed"), ("1.7", "-5.9e-309", "6"))
+)
 
 
 @pytest.mark.parametrize("prefix, values", EXTREME_RUNS, ids=lambda x: " ".join(x))

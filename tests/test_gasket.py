@@ -21,6 +21,7 @@ from diskgeom import (
     GasketDisk,
     GenerationLimits,
     InvalidSeed,
+    NonFiniteOutput,
     Quadruple,
     canonical_quadruple,
     descartes_residual,
@@ -31,7 +32,7 @@ from diskgeom import (
     verify_generalized,
     vieta_reflect,
 )
-from diskgeom.gasket import CHUNK_ROWS, GasketDisks, GasketQuadruples, csv_chunks
+from diskgeom.gasket import CHUNK_ROWS, GasketDisks, GasketQuadruples, csv_chunks, svg_chunks
 
 SEED_CURVATURES = (-1.0, 2.0, 2.0, 3.0)
 # three curvatures from e^U(-2,3), completed by canonical_quadruple
@@ -398,6 +399,12 @@ class TestGenerate:
             with pytest.raises(ValueError, match="max_curvature must be a finite real number > 0"):
                 GenerationLimits(max_curvature=cap)
 
+    # a radius of 1e310 is not a double, so no writer could draw disk 2
+    @pytest.mark.parametrize("third", [1e-310, -1e-310])
+    def test_circle_past_the_double_range_is_an_error(self, third):
+        with pytest.raises(NonFiniteOutput, match="^disk 2 has a non-finite radius or center$"):
+            generate(canonical_quadruple((1.0, 1.0, third)), depth_limit(1))
+
 
 class TestOracles:
     """Checks against facts about Apollonian packings, not against recorded output."""
@@ -572,6 +579,12 @@ class TestRenderSvg:
         svg = render_svg(g)
         assert svg.count("<line ") == 2
         assert svg.count("<circle ") == len(g.disks) - 2
+
+    # disk 2 has the finite radius 1.68e308 and center 9.25e307, so its box reaches past the largest double
+    def test_viewport_past_the_double_range_is_an_error(self):
+        g = generate(canonical_quadruple((1.7, -5.9e-309, 6.0)), depth_limit(1))
+        with pytest.raises(NonFiniteOutput, match="^the SVG viewport -inf -inf inf inf is not finite$"):
+            svg_chunks(g)
 
     def test_empty_gasket_rejected(self, int_quadruple):
         disks = GasketDisks(np.empty((0, 4)), np.empty(0, np.intp), np.empty(0, np.intp))

@@ -201,6 +201,24 @@ class TestCanonicalSimplexConfig:
         with pytest.raises(BadDimension):
             canonical_simplex_config(1)
 
+    @pytest.mark.parametrize("outer", [False, True])
+    def test_vertices_match_the_numpy_helmert_construction_bit_for_bit(self, outer):
+        for n in range(2, 41):
+            spheres = canonical_simplex_config(n, outer)
+            # tobytes tells -0.0 from 0.0
+            assert np.array([s.center for s in spheres[:-1]]).tobytes() == helmert_simplex(n).tobytes()
+            assert [s.radius for s in spheres[:-1]] == [1.0] * (n + 1)
+
+
+def helmert_simplex(n: int) -> np.ndarray:
+    """Vertices (n+1, n) of the regular n-simplex with edge 2, formed on numpy arrays as the reference."""
+    h = np.zeros((n, n + 1))
+    for k in range(1, n + 1):
+        scale = 1.0 / math.sqrt(k * (k + 1))
+        h[k - 1, :k] = scale
+        h[k - 1, k] = -k * scale
+    return math.sqrt(2.0) * h.T
+
 
 def test_all_tangent_gramian_has_closed_form_inverse():
     for n in range(2, 7):
