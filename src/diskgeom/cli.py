@@ -314,62 +314,59 @@ def cmd_project(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("verify", "solve4", "gasket", "soddy", "lift", "project")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or, for one of COMMANDS, a parser with only that subparser under the same usage."""
     parser = argparse.ArgumentParser(
         prog="diskgeom",
         description="Tangent-disk geometry: verify configurations, solve tangency "
         "problems, grow Apollonian gaskets.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the full parser keeps no metavar, so a missing command is still named "command"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=command and "{%s}" % ",".join(COMMANDS))
 
-    p = sub.add_parser(
-        "verify",
-        help="check the configuration identity for 4 disks or n+2 spheres",
-    )
-    p.add_argument("input", help="JSON disk document")
-    p.add_argument("--tol", type=float, default=1e-8, help="pass/fail residual gate")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("solve4", help="both disks tangent to 3 mutually tangent disks")
-    p.add_argument("input", help="JSON document with exactly 3 disks")
-    p.add_argument("--tol", type=float, default=TANGENT_TOL, help="tangency gate on the input triple")
-    p.set_defaults(func=cmd_solve4)
-
-    p = sub.add_parser("gasket", help="grow an Apollonian gasket, emit CSV/SVG")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--seed", help="3 or 4 comma-separated curvatures")
-    src.add_argument("--input", help="JSON document with a tangent quadruple")
-    p.add_argument("--depth", type=int, help="max reflection depth")
-    p.add_argument("--max-curvature", type=float, help="drop disks above this curvature")
-    p.add_argument("--max-count", type=int, help="total disk cap")
-    p.add_argument("--svg", help="write an SVG rendering here")
-    p.add_argument("--csv", help="write depth,curvature,x,y rows here")
-    p.add_argument("--fill-by-depth", action="store_true", help="color SVG fills by depth")
-    p.set_defaults(func=cmd_gasket)
-
-    p = sub.add_parser("soddy", help="n-dimensional tangent-curvature residual")
-    p.add_argument("--dim", type=int, required=True, help="ambient dimension n")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative pass gate")
-    p.add_argument("curvatures", nargs="+", type=float, help="n+2 curvature values")
-    p.set_defaults(func=cmd_soddy)
-
-    p = sub.add_parser("lift", help="print the 4-vector of a circle or halfplane")
-    p.add_argument("kind", choices=["circle", "halfplane"])
-    p.add_argument(
-        "values",
-        nargs=3,
-        type=float,
-        metavar="V",
-        help="circle: X Y R; halfplane: NX NY OFFSET",
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("project", help="print the disk behind a 4-vector")
-    p.add_argument("components", nargs=4, type=float, metavar="C", help="XDOT YDOT BETA GAMMA")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_project)
+    if command in (None, "verify"):
+        p = sub.add_parser("verify", help="check the configuration identity for 4 disks or n+2 spheres")
+        p.add_argument("input", help="JSON disk document")
+        p.add_argument("--tol", type=float, default=1e-8, help="pass/fail residual gate")
+        p.add_argument("--json", action="store_true", help="machine-readable report")
+        p.set_defaults(func=cmd_verify)
+    if command in (None, "solve4"):
+        p = sub.add_parser("solve4", help="both disks tangent to 3 mutually tangent disks")
+        p.add_argument("input", help="JSON document with exactly 3 disks")
+        p.add_argument("--tol", type=float, default=TANGENT_TOL, help="tangency gate on the input triple")
+        p.set_defaults(func=cmd_solve4)
+    if command in (None, "gasket"):
+        p = sub.add_parser("gasket", help="grow an Apollonian gasket, emit CSV/SVG")
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--seed", help="3 or 4 comma-separated curvatures")
+        src.add_argument("--input", help="JSON document with a tangent quadruple")
+        p.add_argument("--depth", type=int, help="max reflection depth")
+        p.add_argument("--max-curvature", type=float, help="drop disks above this curvature")
+        p.add_argument("--max-count", type=int, help="total disk cap")
+        p.add_argument("--svg", help="write an SVG rendering here")
+        p.add_argument("--csv", help="write depth,curvature,x,y rows here")
+        p.add_argument("--fill-by-depth", action="store_true", help="color SVG fills by depth")
+        p.set_defaults(func=cmd_gasket)
+    if command in (None, "soddy"):
+        p = sub.add_parser("soddy", help="n-dimensional tangent-curvature residual")
+        p.add_argument("--dim", type=int, required=True, help="ambient dimension n")
+        p.add_argument("--tol", type=float, default=1e-8, help="relative pass gate")
+        p.add_argument("curvatures", nargs="+", type=float, help="n+2 curvature values")
+        p.set_defaults(func=cmd_soddy)
+    if command in (None, "lift"):
+        p = sub.add_parser("lift", help="print the 4-vector of a circle or halfplane")
+        p.add_argument("kind", choices=["circle", "halfplane"])
+        p.add_argument("values", nargs=3, type=float, metavar="V", help="circle: X Y R; halfplane: NX NY OFFSET")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_lift)
+    if command in (None, "project"):
+        p = sub.add_parser("project", help="print the disk behind a 4-vector")
+        p.add_argument("components", nargs=4, type=float, metavar="C", help="XDOT YDOT BETA GAMMA")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_project)
 
     return parser
 
@@ -400,7 +397,8 @@ def _join_seed_flag(argv: Sequence[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     try:  # every report, argparse's help too, is captured, so stdout is written, and can fail, in one place
         with contextlib.redirect_stdout(io.StringIO()) as report:
-            args = build_parser().parse_args(_join_seed_flag(sys.argv[1:] if argv is None else argv))
+            argv = _join_seed_flag(sys.argv[1:] if argv is None else argv)
+            args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
             code = args.func(args)
     except SystemExit as exc:  # argparse printed the help or a usage error
         code = exc.code if isinstance(exc.code, int) else EXIT_PARSE

@@ -292,13 +292,14 @@ def _circles(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
 def svg_chunks(g: Gasket, fill_by_depth: bool = False) -> Iterator[str]:
     """render_svg's document as pieces of at most CHUNK_ROWS circle elements each.
 
-    EmptyGasket, and NonFiniteOutput for a viewport that is not finite,
-    are raised by this call, before the first piece is taken.
+    EmptyGasket, and NonFiniteOutput for a viewport or a halfplane's line
+    that is not finite, are raised by this call, before the first piece is taken.
     """
     if not g.disks:
         raise EmptyGasket("no disks to render")
     vectors, depths = g.disks.vectors, g.disks.depths
-    lines = [halfplane_geometry(CircleVector(*v)) for v in vectors[vectors[:, 2] == 0.0].tolist()]
+    halfplanes = np.flatnonzero(vectors[:, 2] == 0.0).tolist()
+    lines = [halfplane_geometry(CircleVector(*v)) for v in vectors[halfplanes].tolist()]
 
     def circle_chunks() -> Iterator[tuple[np.ndarray, ...]]:
         # _circles and the depths of the circles among CHUNK_ROWS disks at a time
@@ -333,14 +334,14 @@ def svg_chunks(g: Gasket, fill_by_depth: bool = False) -> Iterator[str]:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{xmin!r} {ymin!r} {width!r} {height!r}">\n',
     ]
-    reach = width + height
-    for nx, ny, offset in lines:
+    reach = width + height  # inf past half the double range, so every line end is checked
+    for k, (nx, ny, offset) in zip(halfplanes, lines):
         ax, ay = nx * offset + 0.0, ny * offset + 0.0  # a flushed anchor flushes the endpoints too
         dx, dy = -ny, nx
-        head.append(
-            f'<line x1="{ax - reach * dx!r}" y1="{ay - reach * dy!r}" '
-            f'x2="{ax + reach * dx!r}" y2="{ay + reach * dy!r}" {stroke}'
-        )
+        ends = (ax - reach * dx, ay - reach * dy, ax + reach * dx, ay + reach * dy)
+        if not all(map(math.isfinite, ends)):
+            raise NonFiniteOutput(f"disk {k}'s SVG line {' '.join(map(repr, ends))} is not finite")
+        head.append('<line x1="%r" y1="%r" x2="%r" y2="%r" ' % ends + stroke)
 
     fills = text_rows([*map(_depth_fill, range(depths.max() + 1 if fill_by_depth else 0)), "none"])
 

@@ -600,10 +600,29 @@ class TestLiftProject:
 
 UNIT_CIRCLE = '{"type": "circle", "center": [0, 0], "radius": 1}'
 
+# argv for the full parser, then for each command: help, a missing positional, a bad value, an option
+# with its value missing, and an unrecognized argument; DOC marks a path to QUAD_DOC
+PARSER_CORPUS = [[], ["-h"], ["--help"], ["--he"], ["frobnicate"], ["VERIFY"], ["--", "verify", "DOC"]] + [
+    [command, *args.split()]
+    for command, cases in {
+        "verify": ["-h", "", "DOC --tol x", "DOC --tol", "DOC extra", "DOC --json"],
+        "solve4": ["-h", "", "DOC --tol x", "DOC --tol", "DOC extra"],
+        "gasket": ["-h", "--depth 1", "--seed=1,1,1 --depth x", "--seed=1,1,1 --depth", "--seed=1,1,1 extra"],
+        "soddy": ["-h", "--dim 2", "--dim x 1", "--dim 2 1 1 1 1 --tol", "--dim 2 1 1 1 1 --bogus"],
+        "lift": ["-h", "circle", "ellipse 1 2 3", "circle 1 2", "circle 1 2 3 extra"],
+        "project": ["-h", "", "1 2 3 x", "1 2 3", "1 2 3 4 5"],
+    }.items()
+    for args in cases
+]
+
 
 class TestParsing:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
+
+    def test_missing_command_is_named(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().err.endswith("diskgeom: error: the following arguments are required: command\n")
 
     def test_mixed_sphere_and_circle(self, tmp_path):
         doc = {
@@ -653,6 +672,33 @@ class TestParsing:
         path.write_text(text, encoding="utf-8")
         assert main(["verify", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {fragment}")
+
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+    def test_narrowed_parser_prints_what_the_full_parser_prints(self, argv, tmp_path, monkeypatch, capsys):
+        argv = [write_doc(tmp_path, QUAD_DOC) if arg == "DOC" else arg for arg in argv]
+        build, commands = cli.build_parser, []
+
+        def narrowed(command=None):
+            commands.append(command)
+            return build(command)
+
+        runs = []
+        for parser in (narrowed, lambda command: build()):
+            monkeypatch.setattr(cli, "build_parser", parser)
+            runs.append((main(argv), *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert commands == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_narrowed_parser_keeps_the_usage(self, command):
+        assert cli.build_parser(command).format_usage() == cli.build_parser().format_usage()
+
+    def test_every_call_builds_its_parser(self, monkeypatch, capsys):
+        # a parser kept between calls would keep the handler it was built with, which a tracer replaces
+        argv = ["soddy", "--dim", "2", "-1", "2", "2", "3"]
+        assert main(argv) == 0
+        monkeypatch.setattr(cli, "cmd_soddy", lambda args: 42)
+        assert main(argv) == 42
 
 
 # sha256 of `gasket --seed S --depth 8 --csv --svg` (13,124 disks each); the
@@ -1132,6 +1178,13 @@ EXTREME_RUNS += [
 EXTREME_RUNS.append(
     (("gasket", "--depth", "1", "--csv", "OUT.csv", "--svg", "OUT.svg", "--seed"), ("1.7", "-5.9e-309", "6"))
 )
+# a finite viewport whose halfplane lines reach past the double range
+EXTREME_RUNS.append(
+    (
+        ("gasket", "--depth", "0", "--csv", "OUT.csv", "--svg", "OUT.svg", "--seed"),
+        ("0", "-2.2250738585072014e-308", "0.5"),
+    )
+)
 
 
 @pytest.mark.parametrize("prefix, values", EXTREME_RUNS, ids=lambda x: " ".join(x))
@@ -1155,6 +1208,7 @@ def test_extreme_values_exit_with_a_documented_code(prefix, values, request, cap
         assert err == "" and ("FAIL" in out) == (code == 1)
     if outputs:
         assert sorted(p.name for p in out_dir.iterdir()) == ([] if code >= 2 else sorted(outputs))
+        assert not any(re.search(r"\b(inf|nan)\b", p.read_text(encoding="utf-8")) for p in out_dir.iterdir())
 
 
 # documents that json or float() cannot hold: each names its file or field in one short line

@@ -102,6 +102,7 @@ def test_public_function_raises_only_its_own_errors(name, data):
 @given(SEEDS, st.integers(0, 3), st.booleans())
 @example([7.229512648309836, -5e-324, 2.848878310662481e-145], 1, False)  # a subnormal curvature
 @example([1.7, -5.9e-309, 6.0], 1, False)  # a finite circle that reaches past the double range
+@example([0.0, -2.2250738585072014e-308, 0.5], 0, False)  # a halfplane line longer than the double range
 def test_gasket_text_is_finite(seed, depth, fill_by_depth):
     quad = _call(canonical_quadruple, seed)
     gasket = quad and _call(generate, quad, GenerationLimits(max_depth=depth))
