@@ -10,7 +10,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .descartes import TANGENT_TOL, Quadruple, descartes_residual, soddy_gosset_residual, solve_fourth_disk
 from .errors import (
@@ -62,6 +62,12 @@ def _number(value: Any, what: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return x
+
+
+def _tol(value: float) -> float:
+    if _number(value, "--tol") < 0.0:
+        raise ValueError(f"--tol must be >= 0, got {value!r}")
+    return value
 
 
 def _point(value: Any, what: str, length: int) -> tuple[float, ...]:
@@ -149,9 +155,10 @@ def _emit_json(obj: dict) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    tol = _tol(args.tol)
     _, disks = load_document(args.input)
     f, finv, residual = configuration_identity([lift(d) for d in disks])
-    passed = residual <= args.tol
+    passed = residual <= tol
     if args.json:
         _emit_json(
             {
@@ -166,16 +173,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _print_matrix("f", f)
         _print_matrix("F = f^-1", finv)
         print(f"residual = {residual!r}")
-        print(f"{'PASS' if passed else 'FAIL'} (tol = {args.tol!r})")
+        print(f"{'PASS' if passed else 'FAIL'} (tol = {tol!r})")
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_solve4(args: argparse.Namespace) -> int:
+    tol = _tol(args.tol)
     kind, disks = load_document(args.input)
     if kind != "planar" or len(disks) != 3:
         raise ValueError("solve4 needs a planar document with exactly 3 disks")
     vectors = [lift(d) for d in disks]
-    roots = solve_fourth_disk(*vectors, tol=args.tol)
+    roots = solve_fourth_disk(*vectors, tol=tol)
     curvatures = [v.beta for v in vectors]
     solutions = []
     for root in roots:
@@ -194,9 +202,7 @@ def _parse_seed(text: str) -> list[float]:
         raise ValueError(f"invalid --seed value {text!r}: {exc}") from exc
     if len(values) not in (3, 4):
         raise ValueError(f"--seed needs 3 or 4 comma-separated curvatures, got {len(values)}")
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError("--seed curvatures must be finite")
-    return values
+    return [_number(v, "--seed curvature") for v in values]
 
 
 def _open_output(path: str) -> TextIO:
@@ -272,16 +278,15 @@ def cmd_gasket(args: argparse.Namespace) -> int:
 
 
 def cmd_soddy(args: argparse.Namespace) -> int:
-    if not all(math.isfinite(b) for b in args.curvatures):
-        raise ValueError("curvatures must be finite")
+    curvatures, tol = [_number(b, "curvature") for b in args.curvatures], _tol(args.tol)
     # relation and gate are homogeneous of degree 2, so they are decided on the curvatures over the
     # power of 2 that brings the largest into [1, 2); float products, which never raise, scale back
-    unit = 2.0 ** (math.frexp(max(abs(b) for b in args.curvatures))[1] - 1)
-    residual = soddy_gosset_residual([b / unit for b in args.curvatures], args.dim)
-    scale = sum(abs(b) / unit for b in args.curvatures) ** 2
-    passed = abs(residual) <= args.tol * scale
+    unit = 2.0 ** (math.frexp(max(abs(b) for b in curvatures))[1] - 1)
+    residual = soddy_gosset_residual([b / unit for b in curvatures], args.dim)
+    scale = sum(abs(b) / unit for b in curvatures) ** 2
+    passed = abs(residual) <= tol * scale
     print(f"residual = {residual * unit * unit!r}")
-    print(f"{'PASS' if passed else 'FAIL'} (tol*scale = {args.tol * scale * unit * unit!r})")
+    print(f"{'PASS' if passed else 'FAIL'} (tol*scale = {tol * scale * unit * unit!r})")
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -300,9 +305,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    if not all(math.isfinite(v) for v in args.components):
-        raise ValueError("project arguments must be finite")
-    disk = project(CircleVector(*args.components))
+    disk = project(CircleVector(*(_number(v, "project component") for v in args.components)))
     if args.json:
         record = disk_record(disk)
         record["schema_version"] = SCHEMA_VERSION
@@ -327,19 +330,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # the full parser keeps no metavar, so a missing command is still named "command"
     sub = parser.add_subparsers(dest="command", required=True, metavar=command and "{%s}" % ",".join(COMMANDS))
 
-    if command in (None, "verify"):
-        p = sub.add_parser("verify", help="check the configuration identity for 4 disks or n+2 spheres")
+    def subcommand(name: str, func: Callable, summary: str) -> Iterator[argparse.ArgumentParser]:
+        """Yield the subparser of name, bound to func, when argv named name or no command; else nothing."""
+        if command in (None, name):
+            p = sub.add_parser(name, help=summary)
+            p.set_defaults(func=func)
+            yield p
+
+    for p in subcommand("verify", cmd_verify, "check the configuration identity for 4 disks or n+2 spheres"):
         p.add_argument("input", help="JSON disk document")
         p.add_argument("--tol", type=float, default=1e-8, help="pass/fail residual gate")
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.set_defaults(func=cmd_verify)
-    if command in (None, "solve4"):
-        p = sub.add_parser("solve4", help="both disks tangent to 3 mutually tangent disks")
+    for p in subcommand("solve4", cmd_solve4, "both disks tangent to 3 mutually tangent disks"):
         p.add_argument("input", help="JSON document with exactly 3 disks")
         p.add_argument("--tol", type=float, default=TANGENT_TOL, help="tangency gate on the input triple")
-        p.set_defaults(func=cmd_solve4)
-    if command in (None, "gasket"):
-        p = sub.add_parser("gasket", help="grow an Apollonian gasket, emit CSV/SVG")
+    for p in subcommand("gasket", cmd_gasket, "grow an Apollonian gasket, emit CSV/SVG"):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--seed", help="3 or 4 comma-separated curvatures")
         src.add_argument("--input", help="JSON document with a tangent quadruple")
@@ -349,38 +354,28 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--svg", help="write an SVG rendering here")
         p.add_argument("--csv", help="write depth,curvature,x,y rows here")
         p.add_argument("--fill-by-depth", action="store_true", help="color SVG fills by depth")
-        p.set_defaults(func=cmd_gasket)
-    if command in (None, "soddy"):
-        p = sub.add_parser("soddy", help="n-dimensional tangent-curvature residual")
+    for p in subcommand("soddy", cmd_soddy, "n-dimensional tangent-curvature residual"):
         p.add_argument("--dim", type=int, required=True, help="ambient dimension n")
         p.add_argument("--tol", type=float, default=1e-8, help="relative pass gate")
         p.add_argument("curvatures", nargs="+", type=float, help="n+2 curvature values")
-        p.set_defaults(func=cmd_soddy)
-    if command in (None, "lift"):
-        p = sub.add_parser("lift", help="print the 4-vector of a circle or halfplane")
+    for p in subcommand("lift", cmd_lift, "print the 4-vector of a circle or halfplane"):
         p.add_argument("kind", choices=["circle", "halfplane"])
         p.add_argument("values", nargs=3, type=float, metavar="V", help="circle: X Y R; halfplane: NX NY OFFSET")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=cmd_lift)
-    if command in (None, "project"):
-        p = sub.add_parser("project", help="print the disk behind a 4-vector")
+    for p in subcommand("project", cmd_project, "print the disk behind a 4-vector"):
         p.add_argument("components", nargs=4, type=float, metavar="C", help="XDOT YDOT BETA GAMMA")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=cmd_project)
 
     return parser
 
 
 # every other error, such as a ValueError, ZeroRadius or EmptyGasket, exits EXIT_PARSE
-_ERROR_CODES: list[tuple[type, int]] = [
-    (SingularMatrix, EXIT_DEGENERATE_CONFIG),
-    (NonFiniteOutput, EXIT_DEGENERATE_CONFIG),
+_ERROR_CODES: list[tuple[type | tuple[type, ...], int]] = [
+    ((SingularMatrix, NonFiniteOutput), EXIT_DEGENERATE_CONFIG),
     (NotTangent, EXIT_NOT_TANGENT),
     (DegenerateTriple, EXIT_DEGENERATE_TRIPLE),
-    (ComplexRoots, EXIT_INVALID_SEED),
-    (InvalidSeed, EXIT_INVALID_SEED),
-    (NotNormalized, EXIT_NOT_NORMALIZED),
-    (NotSpacelike, EXIT_NOT_NORMALIZED),
+    ((ComplexRoots, InvalidSeed), EXIT_INVALID_SEED),
+    ((NotNormalized, NotSpacelike), EXIT_NOT_NORMALIZED),
 ]
 
 

@@ -13,14 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    BadDimension,
-    ComplexRoots,
-    DegenerateTriple,
-    InvalidIndex,
-    NotTangent,
-)
-from .minkowski import CircleVector, check_normalized, inner, normalize
+from .errors import ComplexRoots, DegenerateTriple, InvalidIndex, NotTangent
+from .minkowski import CircleVector, check_dimension, check_finite, check_normalized, inner, normalize
 
 # every gate is written "not x <= bound", so that a nan fails it
 _RANK_TOL = 1e-10
@@ -52,11 +46,17 @@ def soddy_gosset_residual(curvatures: Sequence[float], n: int) -> float:
 
     The all-tangent Gramian has inverse J/(2n) - I/2; the inverse metric's zero b-b entry gives this.
     """
-    if n < 2:
-        raise BadDimension(f"dimension must be >= 2, got {n!r}")
+    check_dimension(n)
     bs = [float(b) for b in curvatures]
     if len(bs) != n + 2:
         raise ValueError(f"need n+2 = {n + 2} curvatures for n = {n}, got {len(bs)}")
+    residual = _soddy_gosset(bs, float(n))  # float(n): a numpy integer n gives a float too
+    if not math.isfinite(residual):  # an overflow, or a non-finite curvature
+        check_finite(bs, "curvature")
+    return residual
+
+
+def _soddy_gosset(bs: list[float], n: float) -> float:
     s = q = 0.0
     for b in bs:  # left to right: the sum of Python 3.12 and later compensates, so its bits differ
         s += b
@@ -66,7 +66,8 @@ def soddy_gosset_residual(curvatures: Sequence[float], n: int) -> float:
 
 def descartes_residual(a: float, b: float, c: float, d: float) -> float:
     """(a+b+c+d)^2 - 2(a^2+b^2+c^2+d^2), the Soddy-Gosset residual at n = 2; zero on tangent quadruples."""
-    return soddy_gosset_residual((a, b, c, d), 2)
+    # the four-term formula's bits for every double: unlike soddy_gosset_residual it refuses no curvature
+    return _soddy_gosset([float(a), float(b), float(c), float(d)], 2.0)
 
 
 def solve_fourth_curvature(a: float, b: float, c: float) -> tuple[float, float]:
@@ -79,6 +80,8 @@ def solve_fourth_curvature(a: float, b: float, c: float) -> tuple[float, float]:
     if not pairs >= -_PAIRS_TOL:
         why = "is negative" if pairs < 0.0 else "is not a number"
         raise ComplexRoots(f"ab+bc+ca = {pairs!r} {why}, no real fourth curvature")
+    if pairs == math.inf:  # an overflow, or an infinite curvature
+        check_finite((a, b, c), "curvature")
     root = 2.0 * math.sqrt(max(pairs, 0.0))
     s = a + b + c
     if s >= 0.0:
@@ -213,6 +216,8 @@ def solve_fourth_disk(
     c1: CircleVector, c2: CircleVector, c3: CircleVector, tol: float = TANGENT_TOL
 ) -> tuple[CircleVector, CircleVector]:
     """Both disks tangent to a mutually tangent triple, larger curvature first."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     triple = (c1, c2, c3)
     # rank check first so repeated disks report degeneracy, not non-tangency
     line = _solution_line([_tangency_row(v) for v in triple], [1.0, 1.0, 1.0])
@@ -234,17 +239,11 @@ def vieta_reflect(q: Quadruple, index: int) -> Quadruple:
     Componentwise c' = 2(c_j + c_k + c_l) - c_i.  An involution that
     preserves every pairwise product, hence maps quadruples to quadruples.
     """
-    if index not in (0, 1, 2, 3):
+    if isinstance(index, bool) or not hasattr(type(index), "__index__") or index not in (0, 1, 2, 3):
         raise InvalidIndex(f"reflection slot must be 0..3, got {index!r}")
     cs = q.vectors
-    others = [cs[j] for j in range(4) if j != index]
-    old = cs[index]
-    new = CircleVector(
-        2.0 * (others[0].xdot + others[1].xdot + others[2].xdot) - old.xdot,
-        2.0 * (others[0].ydot + others[1].ydot + others[2].ydot) - old.ydot,
-        2.0 * (others[0].beta + others[1].beta + others[2].beta) - old.beta,
-        2.0 * (others[0].gamma + others[1].gamma + others[2].gamma) - old.gamma,
-    )
+    # the other three in slot order, then the replaced one; xdot/ydot raise BadDimension unless n = 2
+    rows = [(v.xdot, v.ydot, v.beta, v.gamma) for v in (*cs[:index], *cs[index + 1 :], cs[index])]
     replaced = list(cs)
-    replaced[index] = new
+    replaced[index] = CircleVector(*(2.0 * (a + b + c) - d for a, b, c, d in zip(*rows)))
     return Quadruple(tuple(replaced))

@@ -31,11 +31,10 @@ from .errors import (
 )
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 3.0 == 3 must not reach the cached matrix of 3
 def _block_metric(n: int, swap: float) -> np.ndarray:
     import numpy as np
-    if n < 2:
-        raise BadDimension(f"dimension must be >= 2, got {n!r}")
+    check_dimension(n)
     g = np.diag([-1.0] * n + [0.0, 0.0])
     g[n, n + 1] = g[n + 1, n] = swap
     # cached and shared by every caller, so nobody may write to it
@@ -131,8 +130,7 @@ def lift(d: Disk) -> CircleVector:
         norm = math.hypot(nx, ny)
         if not abs(norm - 1.0) <= _UNIT_NORMAL_TOL:
             raise NonUnitNormal(f"halfplane normal must be unit length, |n| = {norm!r}")
-        if not math.isfinite(d.offset):
-            raise ValueError(f"offset must be finite, got {d.offset!r}")
+        check_finite((d.offset,), "offset")
         # 0.0 - x coerces ints and flushes negative zeros
         return CircleVector(0.0 - nx, 0.0 - ny, 0.0, 0.0 - 2.0 * d.offset)
     if d.dim < 2:
@@ -142,7 +140,7 @@ def lift(d: Disk) -> CircleVector:
     for c in d.center:  # left to right, so a disk gives x*x + y*y
         s += c * c
     if not math.isfinite(s):  # an overflow, or a nan or inf coordinate
-        _check_center(d.center)
+        check_finite(d.center, "center")
     return CircleVector(tuple(c / r for c in d.center), 1.0 / r, (s - r * r) / r)
 
 
@@ -152,10 +150,11 @@ def _radius(d: Circle) -> float:
     return d.radius
 
 
-def _check_center(center: Sequence[float]) -> None:
-    for c in center:
-        if not math.isfinite(c):
-            raise ValueError(f"center must be finite, got {c!r}")
+def check_finite(values: Iterable[float], what: str) -> None:
+    """Raise ValueError naming the first of values that is not finite."""
+    for x in values:
+        if not math.isfinite(x):
+            raise ValueError(f"{what} must be finite, got {x!r}")
 
 
 def project(v: CircleVector) -> Disk:
@@ -181,6 +180,12 @@ def check_normalized(v: CircleVector, what: str = "") -> None:
         raise NotNormalized(f"{what}<v,v> = {s!r}, expected -1 within {NORM_TOL!r}")
 
 
+def check_dimension(n: int) -> None:
+    """Raise BadDimension unless n is an integer >= 2; bools are refused, numpy integers accepted."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__") or n < 2:  # __index__ marks an integer
+        raise BadDimension(f"dimension must be >= 2, got {n!r}")
+
+
 def normalize(components: Iterable[float]) -> CircleVector:
     """Scale a raw space-like (n+2)-vector, n >= 2, to self-product -1, preserving orientation."""
     xs = [float(c) for c in components]
@@ -190,6 +195,8 @@ def normalize(components: Iterable[float]) -> CircleVector:
     s = inner(v, v)
     if not s < -_SPACELIKE_TOL:
         raise NotSpacelike(f"<v,v> = {s!r} is {'not a number' if math.isnan(s) else 'not negative'}")
+    if s == -math.inf:  # an overflow, which scales to zero, or an infinite component
+        check_finite(xs, "component")
     scale = 1.0 / math.sqrt(-s)
     return CircleVector(*[x * scale for x in xs])
 
@@ -223,7 +230,7 @@ def inner_geometric(d1: Disk, d2: Disk) -> float:
         x = (b - a) / unit
         s += x * x
     if not math.isfinite(s):
-        _check_center((*d1.center, *d2.center))
+        check_finite((*d1.center, *d2.center), "center")
     return (s - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import BadDimension
-from .minkowski import Circle
+from .minkowski import Circle, check_dimension
 
 
 def canonical_simplex_config(n: int, outer: bool = False) -> list[Circle]:
@@ -21,8 +20,7 @@ def canonical_simplex_config(n: int, outer: bool = False) -> list[Circle]:
     where R = sqrt(2n/(n+1)) is the circumradius; all pairs end up
     externally tangent.
     """
-    if n < 2:
-        raise BadDimension(f"dimension must be >= 2, got {n!r}")
+    check_dimension(n)
     circumradius = math.sqrt(2.0 * n / (n + 1.0))
     central = -(circumradius + 1.0) if outer else circumradius - 1.0
     # the regular n-simplex with edge 2: vertex i is sqrt(2) e_i of R^(n+1) in coordinates of the

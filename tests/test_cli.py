@@ -294,16 +294,16 @@ class TestGasket:
         assert capsys.readouterr().err == "error: gasket documents need exactly 4 planar disks\n"
 
     @pytest.mark.parametrize(
-        "seed, fragment",
+        "seed, message",
         [
-            ("1,x,2", "invalid --seed value '1,x,2'"),
+            ("1,x,2", "invalid --seed value '1,x,2': could not convert string to float: 'x'"),
             ("1,2", "--seed needs 3 or 4 comma-separated curvatures, got 2"),
-            ("inf,1,1", "--seed curvatures must be finite"),
+            ("inf,1,1", "--seed curvature must be finite, got inf"),
         ],
     )
-    def test_bad_seed_argument(self, seed, fragment, capsys):
+    def test_bad_seed_argument(self, seed, message, capsys):
         assert main(["gasket", "--seed", seed, "--depth", "1"]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {fragment}")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_triple_seed(self, tmp_path, capsys):
         code = main(["gasket", "--seed", "1,1,1", "--depth", "0"])
@@ -461,7 +461,7 @@ class TestSoddy:
 
     def test_infinite_curvature(self, capsys):
         assert main(["soddy", "--dim", "2", "--", "inf", "1", "1", "1"]) == 2
-        assert capsys.readouterr().err == "error: curvatures must be finite\n"
+        assert capsys.readouterr().err == "error: curvature must be finite, got inf\n"
 
     @pytest.mark.parametrize(
         "curvatures, code, out",
@@ -570,21 +570,18 @@ class TestLiftProject:
         assert captured.err == "error: <v,v> = nan, expected -1 within 1e-06\n"
 
     @pytest.mark.parametrize(
-        "argv, command",
+        "argv, message",
         [
-            (["lift", "circle", "inf", "0", "1"], "lift"),
-            (["lift", "halfplane", "0", "1", "inf"], "lift"),
-            (["project", "inf", "0", "1", "0"], "project"),
+            # lift reads its arguments as a document record does, so its error names the field
+            (["lift", "circle", "inf", "0", "1"], "circle center must be finite, got inf"),
+            (["lift", "halfplane", "0", "1", "inf"], "halfplane offset must be finite, got inf"),
+            (["project", "inf", "0", "1", "0"], "project component must be finite, got inf"),
+            (["project", "0", "0", "1", "nan"], "project component must be finite, got nan"),
         ],
     )
-    def test_infinite_argument(self, argv, command, capsys):
+    def test_infinite_argument(self, argv, message, capsys):
         assert main(argv) == 2
-        # lift reads its arguments as a document record does, so its error names the field
-        expected = {
-            "circle": "circle center must be finite, got inf",
-            "halfplane": "halfplane offset must be finite, got inf",
-        }.get(argv[1], f"{command} arguments must be finite")
-        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_lift_zero_radius(self, capsys):
         assert main(["lift", "circle", "0", "0", "0"]) == 2
@@ -614,6 +611,24 @@ PARSER_CORPUS = [[], ["-h"], ["--help"], ["--he"], ["frobnicate"], ["VERIFY"], [
     }.items()
     for args in cases
 ]
+
+
+# every --tol, of verify, solve4 and soddy, is a finite number >= 0, checked before the input is read
+@pytest.mark.parametrize(
+    "tol, message",
+    [
+        ("nan", "--tol must be finite, got nan"),
+        ("inf", "--tol must be finite, got inf"),
+        ("-1", "--tol must be >= 0, got -1.0"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv", [["verify", "QUAD"], ["solve4", "TRIPLE"], ["soddy", "--dim", "2", "1", "1", "1", "1"]], ids=" ".join
+)
+def test_tolerance_is_a_finite_number_of_at_least_zero(argv, tol, message, tmp_path, capsys):
+    docs = {"QUAD": write_doc(tmp_path, QUAD_DOC), "TRIPLE": write_doc(tmp_path, TRIPLE_DOC)}
+    assert main([argv[0], "--tol", tol, *(docs.get(arg, arg) for arg in argv[1:])]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestParsing:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -309,6 +310,11 @@ class TestSolversMatchReference:
 
 
 class TestSolveFourthDisk:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -math.inf], ids=repr)
+    def test_tolerance_is_a_finite_number_of_at_least_zero(self, tol):
+        with pytest.raises(ValueError, match=f"^tol must be a finite number >= 0, got {re.escape(repr(tol))}$"):
+            solve_fourth_disk(*equilateral_triple(), tol=tol)
+
     def test_equilateral_unit_circles(self):
         triple = equilateral_triple()
         inner_disk, outer_disk = solve_fourth_disk(*triple)
@@ -434,6 +440,14 @@ class TestVietaReflect:
     def test_invalid_index(self, int_quadruple):
         with pytest.raises(InvalidIndex):
             vieta_reflect(int_quadruple, 4)
+
+    @pytest.mark.parametrize("index", [1.0, True, np.float64(2.0), "1", None], ids=repr)
+    def test_non_integer_index(self, int_quadruple, index):
+        with pytest.raises(InvalidIndex, match=f"^reflection slot must be 0..3, got {re.escape(repr(index))}$"):
+            vieta_reflect(int_quadruple, index)
+
+    def test_numpy_integer_index(self, int_quadruple):
+        assert vieta_reflect(int_quadruple, np.int64(2)) == vieta_reflect(int_quadruple, 2)
 
     def test_curvature_row_annihilated_by_inverse_gramian(self, int_quadruple):
         f = gramian(int_quadruple.vectors)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,33 @@ class TestMetric:
     def test_low_dimension_rejected(self):
         with pytest.raises(BadDimension):
             minkowski_metric(1)
+
+
+# one rule for every dimension argument: an integer >= 2, where numpy integers count and bools do not
+DIMENSION_CALLS = {
+    "minkowski_metric": minkowski_metric,
+    "soddy_gosset_residual": lambda n: soddy_gosset_residual([1.0, 1.0, 1.0, 1.0, 1.0], n),
+    "canonical_simplex_config": canonical_simplex_config,
+}
+
+
+@pytest.mark.parametrize("call", DIMENSION_CALLS.values(), ids=DIMENSION_CALLS)
+@pytest.mark.parametrize("n", [2.5, float("nan"), True, 1], ids=repr)
+def test_dimension_must_be_an_integer_of_two_or_more(call, n):
+    with pytest.raises(BadDimension, match=f"^{re.escape(f'dimension must be >= 2, got {n!r}')}$"):
+        call(n)
+
+
+@pytest.mark.parametrize("call", DIMENSION_CALLS.values(), ids=DIMENSION_CALLS)
+def test_numpy_integer_dimension(call):
+    # repr tells a numpy scalar from a float, so the result matches in type and bits
+    assert repr(call(np.int64(3))) == repr(call(3))
+
+
+def test_float_dimension_misses_the_cached_metric():
+    minkowski_metric(3)
+    with pytest.raises(BadDimension):
+        minkowski_metric(3.0)
 
 
 class TestLiftSphere:
