@@ -1,15 +1,17 @@
-"""Solvers for mutually tangent disk configurations.
+"""Solvers for mutually tangent balls in any dimension n >= 2; disks are n = 2.
 
-External tangency of two disks means their lifted vectors have product 1,
-so a disk tangent to three given ones solves three linear constraints plus
-the quadratic normalization <X,X> = -1.  The two roots of that system are
-swapped by the reflection c -> 2(sum of the other three) - c, the step that
-grows Apollonian gaskets.
+External tangency of two balls means their lifted vectors have product 1,
+so a ball tangent to n+1 given ones solves n+1 linear constraints plus the
+quadratic normalization <X,X> = -1.  Its two roots are swapped by the
+reflection c -> (2/(n-1))(sum of the other n+1) - c, which for disks is
+c -> 2(sum of the other three) - c, the step that grows Apollonian gaskets.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,18 +26,17 @@ TANGENT_TOL = 1e-6  # |<u,v> - 1| of a tangent pair, for validate, solve_fourth_
 
 @dataclass(frozen=True)
 class Quadruple:
-    """Four mutually tangent circle vectors."""
+    """n+2 mutually tangent lifted balls in n-space: four disks for n = 2."""
 
-    vectors: tuple[CircleVector, CircleVector, CircleVector, CircleVector]
+    vectors: tuple[CircleVector, ...]
 
     @property
-    def curvatures(self) -> tuple[float, float, float, float]:
+    def curvatures(self) -> tuple[float, ...]:
         return tuple(v.beta for v in self.vectors)
 
     def validate(self) -> None:
-        """Check normalization of each member and pairwise tangency."""
-        if len(self.vectors) != 4:
-            raise ValueError(f"expected 4 vectors, got {len(self.vectors)}")
+        """Check the count n+2, normalization of each member and pairwise tangency."""
+        _dimension(self.vectors, 2)
         for k, v in enumerate(self.vectors):
             check_normalized(v, f"vector {k} {tuple(v)!r} has ")
         _check_tangent(self.vectors, TANGENT_TOL)
@@ -100,8 +101,7 @@ def tangency_residual(vectors: Sequence[CircleVector]) -> float:
 
 def worst_tangency(vectors: Sequence[CircleVector]) -> tuple[float, tuple[int, int]]:
     """Largest |<u,v> - 1| over distinct pairs, and the first pair that attains it; nan is the largest."""
-    if len(vectors) not in (3, 4):
-        raise ValueError(f"expected 3 or 4 vectors, got {len(vectors)}")
+    _dimension(vectors, 1, 2)
     worst, pair = 0.0, (0, 1)
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
@@ -113,6 +113,17 @@ def worst_tangency(vectors: Sequence[CircleVector]) -> tuple[float, tuple[int, i
     return worst, pair
 
 
+def _dimension(vectors: Sequence[CircleVector], *extras: int) -> int:
+    """The shared dimension n of n+e vectors, e in extras; ValueError otherwise, BadDimension for n < 2."""
+    dims = tuple([len(v.coords) if isinstance(v, CircleVector) else None for v in vectors])  # None: a positional tol
+    n = dims[0] if dims and dims[0] is not None else 2
+    if len(dims) - n not in extras or dims.count(n) != len(dims):
+        need, rule = " or ".join(str(n + e) for e in extras), " or ".join(f"n+{e}" if e else "n" for e in extras)
+        raise ValueError(f"expected {need} vectors, got {len(dims)} of dimensions {dims}: {rule} of one dimension n")
+    check_dimension(n)
+    return n
+
+
 def _check_tangent(vectors: Sequence[CircleVector], tol: float) -> None:
     """Raise NotTangent naming the worst pair when its residual exceeds tol."""
     worst, (i, j) = worst_tangency(vectors)
@@ -121,19 +132,20 @@ def _check_tangent(vectors: Sequence[CircleVector], tol: float) -> None:
 
 
 def _solution_line(rows: list[list[float]], rhs: list[float]) -> tuple[list[float], list[float]]:
-    """Particular point and null direction of the 3x4 system rows @ x = rhs.
+    """Particular point and null direction of the m x (m+1) system rows @ x = rhs.
 
     Gaussian elimination with full pivoting over rows and columns; a pivot
     ratio below _RANK_TOL marks the constraints as rank deficient.  Runs on
     Python floats: each step rounds as the same numpy float64 step would.
     """
+    m = len(rows)
     a = [[*row, h] for row, h in zip(rows, rhs)]
     pivot_cols: list[int] = []
-    free_cols = [0, 1, 2, 3]
-    for k in range(3):
+    free_cols = list(range(m + 1))
+    for k in range(m):
         best_val = -1.0
         best = (k, free_cols[0])
-        for i in range(k, 3):
+        for i in range(k, m):
             row = a[i]
             for j in free_cols:
                 v = abs(row[j])
@@ -145,7 +157,7 @@ def _solution_line(rows: list[list[float]], rhs: list[float]) -> tuple[list[floa
             raise DegenerateTriple("tangency constraints are rank deficient")
         a[k], a[i] = a[i], a[k]
         pivot_row = a[k]
-        for i2 in range(k + 1, 3):
+        for i2 in range(k + 1, m):
             factor = a[i2][j] / pivot_row[j]
             a[i2] = [x - factor * y for x, y in zip(a[i2], pivot_row)]
             a[i2][j] = 0.0
@@ -159,24 +171,19 @@ def _solution_line(rows: list[list[float]], rhs: list[float]) -> tuple[list[floa
     free_col = free_cols[0]
 
     def back(use_rhs: bool, free_val: float) -> list[float]:
-        x = [0.0] * 4
+        x = [0.0] * (m + 1)
         x[free_col] = free_val
-        for k in (2, 1, 0):
+        for k in reversed(range(m)):
             c = pivot_cols[k]
             row = a[k]
-            s = row[4] if use_rhs else 0.0
-            for j in range(4):
+            s = row[m + 1] if use_rhs else 0.0
+            for j in range(m + 1):
                 if j != c:
                     s -= row[j] * x[j]
             x[c] = s / row[c]
         return x
 
     return back(True, 0.0), back(False, 1.0)
-
-
-def _root_order(v: CircleVector) -> tuple[float, float, float, float]:
-    # larger curvature first; remaining components break exact ties
-    return (-v.beta, -v.xdot, -v.ydot, -v.gamma)
 
 
 def _roots_on_line(point: list[float], direction: list[float]) -> tuple[CircleVector, CircleVector]:
@@ -197,38 +204,33 @@ def _roots_on_line(point: list[float], direction: list[float]) -> tuple[CircleVe
         t1, t2 = q / alpha, c0 / q
     else:
         t1 = t2 = 0.0
-    roots = sorted(
-        (
-            normalize([x + t1 * y for x, y in zip(point, direction)]),
-            normalize([x + t2 * y for x, y in zip(point, direction)]),
-        ),
-        key=_root_order,
-    )
-    return roots[0], roots[1]
+    ends = [normalize([x + t * y for x, y in zip(point, direction)]) for t in (t1, t2)]
+    # larger curvature first; the other components break exact ties
+    hi, lo = sorted(ends, key=lambda v: (-v.beta, *map(operator.neg, v.coords), -v.gamma))
+    return hi, lo
 
 
 def _tangency_row(v: CircleVector) -> list[float]:
-    """Coefficients of x -> <v, x>, the row minkowski_metric(2) @ v with its signed zeros."""
-    return [0.0 - v.xdot, 0.0 - v.ydot, 0.5 * v.gamma + 0.0, 0.5 * v.beta + 0.0]
+    """Coefficients of x -> <v, x>, the row minkowski_metric(n) @ v with its signed zeros."""
+    return [0.0 - c for c in v.coords] + [0.5 * v.gamma + 0.0, 0.5 * v.beta + 0.0]
 
 
-def solve_fourth_disk(
-    c1: CircleVector, c2: CircleVector, c3: CircleVector, tol: float = TANGENT_TOL
-) -> tuple[CircleVector, CircleVector]:
-    """Both disks tangent to a mutually tangent triple, larger curvature first."""
+def solve_fourth_disk(*balls: CircleVector, tol: float = TANGENT_TOL) -> tuple[CircleVector, CircleVector]:
+    """Both balls tangent to n+1 mutually tangent balls in n-space (a triple of disks), larger curvature first."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    triple = (c1, c2, c3)
-    # rank check first so repeated disks report degeneracy, not non-tangency
-    line = _solution_line([_tangency_row(v) for v in triple], [1.0, 1.0, 1.0])
-    _check_tangent(triple, tol)
+    _dimension(balls, 1)
+    # rank check first so repeated balls report degeneracy, not non-tangency
+    line = _solution_line([_tangency_row(v) for v in balls], [1.0] * len(balls))
+    _check_tangent(balls, tol)
     return _roots_on_line(*line)
 
 
 def tangent_disk_with_curvature(
     c1: CircleVector, c2: CircleVector, curvature: float
 ) -> tuple[CircleVector, CircleVector]:
-    """Both disks of prescribed curvature tangent to two tangent disks."""
+    """Both disks of prescribed curvature tangent to two tangent disks (n = 2 only)."""
+    _dimension((c1, c2), 0)
     rows = [_tangency_row(c1), _tangency_row(c2), [0.0, 0.0, 1.0, 0.0]]
     return _roots_on_line(*_solution_line(rows, [1.0, 1.0, float(curvature)]))
 
@@ -236,14 +238,15 @@ def tangent_disk_with_curvature(
 def vieta_reflect(q: Quadruple, index: int) -> Quadruple:
     """Swap slot `index` for the other root of its tangency system.
 
-    Componentwise c' = 2(c_j + c_k + c_l) - c_i.  An involution that
-    preserves every pairwise product, hence maps quadruples to quadruples.
+    Componentwise c' = (2/(n-1)) (sum of the other n+1) - c, for disks 2(c_j + c_k + c_l) - c_i.
+    An involution that preserves every pairwise product, hence maps quadruples to quadruples.
     """
-    if isinstance(index, bool) or not hasattr(type(index), "__index__") or index not in (0, 1, 2, 3):
-        raise InvalidIndex(f"reflection slot must be 0..3, got {index!r}")
     cs = q.vectors
-    # the other three in slot order, then the replaced one; xdot/ydot raise BadDimension unless n = 2
-    rows = [(v.xdot, v.ydot, v.beta, v.gamma) for v in (*cs[:index], *cs[index + 1 :], cs[index])]
-    replaced = list(cs)
-    replaced[index] = CircleVector(*(2.0 * (a + b + c) - d for a, b, c, d in zip(*rows)))
-    return Quadruple(tuple(replaced))
+    n = _dimension(cs, 2)
+    if isinstance(index, bool) or not hasattr(type(index), "__index__") or index not in range(n + 2):
+        raise InvalidIndex(f"reflection slot must be 0..{n + 1}, got {index!r}")
+    # the other n+1 in slot order, then the replaced one; summed left to right, as the builtin sum of
+    # Python 3.12 and later compensates, and from -0.0, as -0.0 + x is exactly x, signed zeros included
+    rows = zip(*cs[:index], *cs[index + 1 :], cs[index])
+    c = CircleVector(*(2.0 / (n - 1) * functools.reduce(operator.add, others, -0.0) - d for *others, d in rows))
+    return Quadruple((*cs[:index], c, *cs[index + 1 :]))

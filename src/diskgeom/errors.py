@@ -42,7 +42,7 @@ class ComplexRoots(DiskGeomError):
 
 
 class InvalidIndex(DiskGeomError):
-    """Reflection slot outside 0..3."""
+    """Reflection slot outside 0..n+1, which is 0..3 for disks."""
 
 
 class InvalidSeed(DiskGeomError):
@@ -58,4 +58,4 @@ class NonFiniteOutput(DiskGeomError):
 
 
 class BadDimension(DiskGeomError):
-    """Ambient dimension below 2."""
+    """Ambient dimension below 2, or a planar xdot/ydot read on a vector of n != 2."""

@@ -153,6 +153,8 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
         seed.validate()
     except DiskGeomError as exc:
         raise InvalidSeed(str(exc)) from exc
+    if seed.vectors[0].dim != 2:  # validate accepts n+2 balls of any n; the stores hold disks
+        raise InvalidSeed(f"a gasket grows from planar disks (n = 2), got a seed of n = {seed.vectors[0].dim}")
     if limits.max_depth is None and limits.max_count is None and 0.0 in seed.curvatures:
         raise InvalidSeed(
             f"seed vector {seed.curvatures.index(0.0)} is a halfplane, so a curvature limit "

@@ -2,14 +2,14 @@
 
 A ball with center c in R^n and signed radius r (negative for the
 unbounded outside of its sphere) lifts to the space-like (n+2)-vector
-(c/r, 1/r, (|c|^2 - r^2)/r); halfplanes are the curvature-0 limit of that
-map for n = 2.  Under the metric g (negative unit block on the reduced
-coordinates, half-swap block on curvature/co-curvature) the product of two
-lifted vectors equals the inversive product (d^2 - r1^2 - r2^2) / (2 r1 r2),
-so tangency, intersection angles and the whole configuration calculus
-become linear algebra on lifted vectors.  One ball type, one vector type
-and one lift serve every n; the planar solvers read a vector's xdot/ydot,
-which exist only for n = 2.
+(c/r, 1/r, (|c|^2 - r^2)/r); a halfspace is the curvature-0 limit of that
+map, the ball of curvature 0 (the paper's Remark 1, in every n).  Under the
+metric g (negative unit block on the reduced coordinates, half-swap block
+on curvature/co-curvature) the product of two lifted vectors equals the
+inversive product (d^2 - r1^2 - r2^2) / (2 r1 r2), so tangency,
+intersection angles and the whole configuration calculus become linear
+algebra on lifted vectors.  One ball type, one halfspace type, one vector
+type, one lift and one projection serve every n.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ class Circle:
 
 @dataclass(frozen=True)
 class Halfplane:
-    """Curvature-0 disk {p : normal . p <= offset} with unit normal."""
+    """Curvature-0 ball {p : normal . p <= offset} with unit normal in n-space, a halfplane for n = 2."""
 
-    normal: tuple[float, float]
+    normal: tuple[float, ...]
     offset: float
 
 
@@ -110,7 +110,7 @@ class CircleVector:
     ydot = property(lambda self: self._planar(1))
 
     def _planar(self, k: int) -> float:
-        # every planar-only path reads the reduced center through xdot/ydot
+        # the planar names of coords[0] and coords[1]; no code of the package reads them
         if len(self.coords) != 2:
             raise BadDimension(f"planar code needs a lifted disk (n = 2), got n = {len(self.coords)}")
         return self.coords[k]
@@ -124,17 +124,16 @@ class CircleVector:
 
 
 def lift(d: Disk) -> CircleVector:
-    """Map a ball of any dimension n >= 2, or a halfplane, to its normalized (n+2)-vector."""
+    """Map a ball or a halfspace of any dimension n >= 2 to its normalized (n+2)-vector."""
     if isinstance(d, Halfplane):
-        nx, ny = d.normal
-        norm = math.hypot(nx, ny)
+        check_dimension(len(d.normal))
+        norm = math.hypot(*d.normal)
         if not abs(norm - 1.0) <= _UNIT_NORMAL_TOL:
             raise NonUnitNormal(f"halfplane normal must be unit length, |n| = {norm!r}")
         check_finite((d.offset,), "offset")
         # 0.0 - x coerces ints and flushes negative zeros
-        return CircleVector(0.0 - nx, 0.0 - ny, 0.0, 0.0 - 2.0 * d.offset)
-    if d.dim < 2:
-        raise BadDimension(f"dimension must be >= 2, got {d.dim!r}")
+        return CircleVector(tuple(0.0 - x for x in d.normal), 0.0, 0.0 - 2.0 * d.offset)
+    check_dimension(d.dim)
     r = _radius(d)
     s = 0.0
     for c in d.center:  # left to right, so a disk gives x*x + y*y
@@ -158,19 +157,20 @@ def check_finite(values: Iterable[float], what: str) -> None:
 
 
 def project(v: CircleVector) -> Disk:
-    """Invert the lift; beta == 0 exactly maps back to a halfplane."""
+    """Invert the lift in any n >= 2; beta == 0 exactly maps back to a halfspace."""
+    check_dimension(v.dim)
     check_normalized(v)
     if v.beta != 0.0:
         r = 1.0 / v.beta
-        return Circle((v.xdot * r, v.ydot * r), r)
-    nx, ny, offset = halfplane_geometry(v)
-    return Halfplane((nx, ny), offset)
+        return Circle(tuple([c * r for c in v.coords]), r)
+    *normal, offset = halfplane_geometry(v)
+    return Halfplane(tuple(normal), offset)
 
 
-def halfplane_geometry(v: CircleVector) -> tuple[float, float, float]:
-    """Unit normal (nx, ny) and offset of a curvature-0 vector."""
-    norm = math.hypot(v.xdot, v.ydot)
-    return -v.xdot / norm, -v.ydot / norm, -0.5 * v.gamma / norm
+def halfplane_geometry(v: CircleVector) -> tuple[float, ...]:
+    """(n_1, ..., n_n, offset): the unit normal and offset of a curvature-0 vector."""
+    norm = math.hypot(*v.coords)
+    return (*(-c / norm for c in v.coords), -0.5 * v.gamma / norm)
 
 
 def check_normalized(v: CircleVector, what: str = "") -> None:

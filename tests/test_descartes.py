@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from diskgeom import (
     NotNormalized,
     NotTangent,
     Quadruple,
+    canonical_simplex_config,
     descartes_residual,
     gramian,
     inner,
@@ -301,7 +303,7 @@ class TestSolversMatchReference:
     )
     def test_raw_vectors(self, c1, c2, c3, curvature):
         # a huge tol lets non-tangent triples reach the root computation
-        assert outcome(solve_fourth_disk, c1, c2, c3, 1e300) == outcome(
+        assert outcome(lambda *triple: solve_fourth_disk(*triple, tol=1e300), c1, c2, c3) == outcome(
             reference_solve_fourth_disk, c1, c2, c3, 1e300
         )
         assert outcome(tangent_disk_with_curvature, c1, c2, curvature) == outcome(
@@ -497,20 +499,84 @@ class TestQuadrupleValidate:
         assert str(info.value) == f"vector 2 {tuple(vectors[2])!r} has <v,v> = -4.0, expected -1 within 1e-06"
 
 
-# a lifted 3-sphere: it has no xdot/ydot, so planar-only code must refuse it
-SPHERE = lift(Circle((0.0, 0.0, 3.0), 1.0))
-
-
+# n = 3: a ball of each sign of radius and a halfspace, all exact (the radius is a power of two
+# and hypot(0.0, 0.6, -0.8) rounds to 1.0), so the lift and the projection invert each other bit for bit
 @pytest.mark.parametrize(
-    "call",
+    "disk", [Circle((0.5, -2.0, 3.0), 2.0), Circle((0.5, -2.0, 3.0), -2.0), Halfplane((0.0, 0.6, -0.8), 2.5)], ids=repr
+)
+def test_lift_and_project_round_trip_in_three_dimensions(disk):
+    v = lift(disk)
+    assert v.dim == 3 and project(v) == disk
+    if isinstance(disk, Halfplane):
+        assert halfplane_geometry(v) == (*disk.normal, disk.offset)
+
+
+def balls(*dims: int) -> tuple[CircleVector, ...]:
+    """One lifted unit ball at the origin per given dimension."""
+    return tuple(lift(Circle((0.0,) * n, 1.0)) for n in dims)
+
+
+# one wording for every count rule: the count that the first vector's n asks for, the dimensions given,
+# and the rule itself; tangent_disk_with_curvature takes n balls, which its curvature makes n+1 constraints
+@pytest.mark.parametrize(
+    "call, vectors, need, rule",
     [
-        pytest.param(lambda v: solve_fourth_disk(v, v, v), id="solve_fourth_disk"),
-        pytest.param(lambda v: tangent_disk_with_curvature(v, v, 1.0), id="tangent_disk_with_curvature"),
-        pytest.param(project, id="project"),
-        pytest.param(lambda v: vieta_reflect(Quadruple((v, v, v, v)), 0), id="vieta_reflect"),
-        pytest.param(halfplane_geometry, id="halfplane_geometry"),
+        pytest.param(solve_fourth_disk, balls(3, 3, 3), 4, "n+1", id="solve_fourth_disk-count"),
+        pytest.param(solve_fourth_disk, balls(2, 2, 3), 3, "n+1", id="solve_fourth_disk-mixed"),
+        pytest.param(lambda *v: tangent_disk_with_curvature(*v, 1.0), balls(3, 3), 3, "n", id="tangent-count"),
+        pytest.param(lambda *v: tangent_disk_with_curvature(*v, 1.0), balls(2, 3), 2, "n", id="tangent-mixed"),
+        pytest.param(lambda *v: vieta_reflect(Quadruple(v), 0), balls(3, 3, 3, 3), 5, "n+2", id="vieta_reflect-count"),
+        pytest.param(lambda *v: vieta_reflect(Quadruple(v), 0), balls(2, 2, 2, 3), 4, "n+2", id="vieta_reflect-mixed"),
+        pytest.param(lambda *v: Quadruple(v).validate(), balls(3, 3, 3, 3), 5, "n+2", id="validate-count"),
+        pytest.param(lambda *v: Quadruple(v).validate(), balls(3, 2, 2, 2, 2), 5, "n+2", id="validate-mixed"),
     ],
 )
-def test_planar_code_rejects_other_dimensions(call):
-    with pytest.raises(BadDimension):
-        call(SPHERE)
+def test_counts_name_the_rule_and_dimensions(call, vectors, need, rule):
+    dims = tuple(v.dim for v in vectors)
+    message = f"expected {need} vectors, got {len(vectors)} of dimensions {dims}: {rule} of one dimension n"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*vectors)
+
+
+def test_tol_is_keyword_only():
+    message = "expected 3 vectors, got 4 of dimensions (2, 2, 2, None): n+1 of one dimension n"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_fourth_disk(*equilateral_triple(), 1e-9)
+
+
+def test_one_dimensional_balls_are_refused():
+    segment = CircleVector((0.0,), 1.0, -1.0)  # normalized, but lift takes no ball of n = 1
+    with pytest.raises(BadDimension, match="^dimension must be >= 2, got 1$"):
+        vieta_reflect(Quadruple((segment,) * 3), 0)  # n+2 vectors of n = 1: it would divide by n-1 = 0
+    with pytest.raises(BadDimension, match="^dimension must be >= 2, got 1$"):
+        project(segment)
+
+
+# the canonical configurations of n = 3..8, from every side, in units of eps * max |component|;
+# the worst ratios measured over every slot were 7.2 (dropped ball), 10.5 (other root) and 0.44
+# (reflecting twice), so each bound leaves about 3x headroom or more
+SOLVE_BOUND = 32.0
+TWICE_BOUND = 2.0
+
+
+@pytest.mark.parametrize("outer", [False, True], ids=["inner", "outer"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_every_dimension_solves_and_reflects(n, outer):
+    vectors = tuple(lift(s) for s in canonical_simplex_config(n, outer))
+    q = Quadruple(vectors)
+    q.validate()
+    for k in range(n + 2):
+        reflected = vieta_reflect(q, k)
+        scale = sys.float_info.epsilon * max(abs(x) for v in (*vectors, reflected.vectors[k]) for x in v)
+        roots = solve_fourth_disk(*vectors[:k], *vectors[k + 1 :])
+        dropped = min(roots, key=lambda r: distance(r, vectors[k]))
+        other = roots[1] if dropped is roots[0] else roots[0]
+        assert distance(dropped, vectors[k]) <= SOLVE_BOUND * scale
+        assert distance(other, reflected.vectors[k]) <= SOLVE_BOUND * scale
+        twice = vieta_reflect(reflected, k)
+        assert max(map(distance, twice.vectors, vectors)) <= TWICE_BOUND * scale
+
+
+def distance(u: CircleVector, v: CircleVector) -> float:
+    """Largest componentwise difference of two lifted vectors."""
+    return max(abs(a - b) for a, b in zip(u, v, strict=True))

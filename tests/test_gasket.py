@@ -24,6 +24,7 @@ from diskgeom import (
     NonFiniteOutput,
     Quadruple,
     canonical_quadruple,
+    canonical_simplex_config,
     descartes_residual,
     generate,
     inner,
@@ -330,6 +331,14 @@ class TestGenerate:
         )
         with pytest.raises(InvalidSeed):
             generate(bad, depth_limit(1))
+
+    def test_seed_must_be_planar(self, monkeypatch):
+        # five tangent spheres pass validate, but the stores hold disks: refused before any is sized
+        seed = Quadruple(tuple(lift(s) for s in canonical_simplex_config(3)))
+        seed.validate()
+        monkeypatch.setattr("diskgeom.gasket._stores", None)
+        with pytest.raises(InvalidSeed, match=r"^a gasket grows from planar disks \(n = 2\), got a seed of n = 3$"):
+            generate(seed, depth_limit(1))
 
     @settings(max_examples=80, deadline=None)
     @given(
