@@ -49,7 +49,7 @@ from .descartes import (
 )
 from .nsphere import canonical_simplex_config
 
-# gasket imports numpy, so it loads on the first use of one of its names
+# gasket loads on the first use of one of its names; it imports numpy only where it builds arrays
 _GASKET_NAMES = {"gasket", "Gasket", "GasketDisk", "GenerationLimits", "canonical_quadruple", "generate", "render_svg"}
 
 

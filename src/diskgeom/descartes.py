@@ -102,6 +102,10 @@ def tangency_residual(vectors: Sequence[CircleVector]) -> float:
 def worst_tangency(vectors: Sequence[CircleVector]) -> tuple[float, tuple[int, int]]:
     """Largest |<u,v> - 1| over distinct pairs, and the first pair that attains it; nan is the largest."""
     _dimension(vectors, 1, 2)
+    return _worst_pair(vectors)
+
+
+def _worst_pair(vectors: Sequence[CircleVector]) -> tuple[float, tuple[int, int]]:
     worst, pair = 0.0, (0, 1)
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
@@ -125,8 +129,8 @@ def _dimension(vectors: Sequence[CircleVector], *extras: int) -> int:
 
 
 def _check_tangent(vectors: Sequence[CircleVector], tol: float) -> None:
-    """Raise NotTangent naming the worst pair when its residual exceeds tol."""
-    worst, (i, j) = worst_tangency(vectors)
+    """Raise NotTangent naming the worst pair when its residual exceeds tol; callers have checked the count."""
+    worst, (i, j) = _worst_pair(vectors)
     if not worst <= tol:
         raise NotTangent(f"disks {i} and {j} are not tangent, residual {worst!r} exceeds {tol!r}")
 

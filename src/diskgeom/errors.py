@@ -6,7 +6,7 @@ class DiskGeomError(Exception):
 
 
 class ZeroRadius(DiskGeomError):
-    """Circle or sphere radius is zero or not finite."""
+    """Circle or sphere radius is zero or not finite, or has a curvature 1/r past the double range."""
 
 
 class NonUnitNormal(DiskGeomError):

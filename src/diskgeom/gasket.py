@@ -2,8 +2,8 @@
 
 A gasket is a reflection tree: non-backtracking reflection words give every
 packing circle exactly once.  It is grown one depth level at a time on numpy
-arrays and stored as arrays; the disk and quadruple objects of the public
-API are built only when a caller indexes or iterates them.
+arrays and stored as arrays (numpy is imported only where they are built or
+read); the disk and quadruple objects of the public API are built on access.
 """
 
 from __future__ import annotations
@@ -17,17 +17,14 @@ import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._text import join_rows, repr_rows, text_rows
 from .descartes import Quadruple, solve_fourth_curvature, solve_fourth_disk, tangent_disk_with_curvature
 from .errors import DiskGeomError, EmptyGasket, InvalidSeed, NonFiniteOutput
 from .minkowski import Circle, CircleVector, Halfplane, halfplane_geometry, lift
 
 # rows that the SVG and CSV writers turn into text at a time, bounding their memory
 CHUNK_ROWS = 4096
-# dtype of the depth, parent and member stores, whose values stay below the disk count
-INDEX = np.int32
+# numpy dtype name of the depth, parent and member stores, whose values stay below the disk count
+INDEX = "int32"
 
 
 @dataclass(frozen=True)
@@ -77,6 +74,7 @@ class _ArraySequence(Sequence):
     __slots__ = ()
 
     def __init__(self, *arrays) -> None:
+        import numpy as np
         for name, array in zip(self.__slots__, arrays, strict=True):
             view = np.asarray(array).view()
             view.flags.writeable = False
@@ -92,7 +90,7 @@ class _ArraySequence(Sequence):
 
 
 class GasketDisks(_ArraySequence):
-    """Stored disks: lifted vectors (N,4), INDEX depths (N,) and parent quadruple ids (N,)."""
+    """Stored disks: lifted vectors (N,4), int32 (INDEX) depths (N,) and parent quadruple ids (N,)."""
 
     __slots__ = ("vectors", "depths", "quadruple_ids")
 
@@ -103,7 +101,7 @@ class GasketDisks(_ArraySequence):
 
 
 class GasketQuadruples(_ArraySequence):
-    """Explored quadruples as INDEX rows (M,4) of indices into the disk vectors (N,4)."""
+    """Explored quadruples as int32 (INDEX) rows (M,4) of indices into the disk vectors (N,4)."""
 
     __slots__ = ("members", "vectors")
 
@@ -127,9 +125,10 @@ class Gasket:
 
 def _stores(size: int, old: Sequence[np.ndarray] = (), n: int = 0) -> list[np.ndarray]:
     """Vector, depth, parent and quadruple member stores for size disks, with old's first n."""
+    import numpy as np
     try:
         if size > np.iinfo(INDEX).max + 1:
-            raise ValueError(f"disk indices past {np.iinfo(INDEX).max} do not fit {np.dtype(INDEX)}")
+            raise ValueError(f"disk indices past {np.iinfo(INDEX).max} do not fit {INDEX}")
         stores = [np.empty((size, 4)), np.empty(size, INDEX), np.empty(size, INDEX), np.empty((size, 4), INDEX)]
     except (MemoryError, ValueError) as exc:  # ValueError: longer than any numpy array or INDEX
         raise DiskGeomError(f"cannot allocate the arrays of {size} disks: {exc}") from None
@@ -168,6 +167,7 @@ def generate(seed: Quadruple, limits: GenerationLimits) -> Gasket:
             size = min(4 + 2 * (3**d - 1), size or math.inf)
         elif size is None:
             raise DiskGeomError(f"cannot allocate the arrays of 4 + 2 * (3**{d} - 1) disks")
+    import numpy as np
     # disk vectors, depths, parent quadruple ids and quadruple members; rows past n are spare
     try:
         stores = _stores(size or 4)
@@ -288,7 +288,7 @@ def _circles(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
     """Centers, radii and negative curvature of disk vectors whose curvature is nonzero."""
     r = 1.0 / vectors[:, 2]
     # + 0.0 flushes negative zeros out of rendered coordinates
-    return vectors[:, 0] * r + 0.0, vectors[:, 1] * r + 0.0, np.abs(r), r < 0.0
+    return vectors[:, 0] * r + 0.0, vectors[:, 1] * r + 0.0, abs(r), r < 0.0
 
 
 def svg_chunks(g: Gasket, fill_by_depth: bool = False) -> Iterator[str]:
@@ -297,6 +297,8 @@ def svg_chunks(g: Gasket, fill_by_depth: bool = False) -> Iterator[str]:
     EmptyGasket, and NonFiniteOutput for a viewport or a halfplane's line
     that is not finite, are raised by this call, before the first piece is taken.
     """
+    import numpy as np
+    from ._text import join_rows, repr_rows, text_rows
     if not g.disks:
         raise EmptyGasket("no disks to render")
     vectors, depths = g.disks.vectors, g.disks.depths
@@ -358,6 +360,8 @@ def svg_chunks(g: Gasket, fill_by_depth: bool = False) -> Iterator[str]:
 
 def csv_chunks(g: Gasket) -> Iterator[str]:
     """The gasket CSV, depth,curvature,x,y, in pieces of at most CHUNK_ROWS rows each."""
+    import numpy as np
+    from ._text import join_rows, repr_rows, text_rows
     disks = g.disks
     yield "depth,curvature,x,y\n"
     depth_text = text_rows([str(d) for d in range(disks.depths.max(initial=0) + 1)])

@@ -135,6 +135,8 @@ def lift(d: Disk) -> CircleVector:
         return CircleVector(tuple(0.0 - x for x in d.normal), 0.0, 0.0 - 2.0 * d.offset)
     check_dimension(d.dim)
     r = _radius(d)
+    if not math.isfinite(1.0 / r):  # a subnormal radius; inner_geometric takes it, as it needs no curvature
+        raise ZeroRadius(f"radius {r!r} is too small: its curvature 1/r is past the double range")
     s = 0.0
     for c in d.center:  # left to right, so a disk gives x*x + y*y
         s += c * c

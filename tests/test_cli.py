@@ -210,6 +210,13 @@ class TestSolve4:
         doc = {"disks": [TRIPLE_DOC["disks"][0]] * 2 + [TRIPLE_DOC["disks"][1]]}
         assert main(["solve4", write_doc(tmp_path, doc)]) == 5
 
+    # a subnormal radius has no finite curvature, so lift names it rather than the solver failing on an inf
+    def test_radius_of_overflowing_curvature(self, tmp_path, capsys):
+        doc = {"disks": [{"type": "circle", "center": [0.0, 0.0], "radius": 5e-324}] + TRIPLE_DOC["disks"][1:]}
+        assert main(["solve4", write_doc(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: radius 5e-324 is too small: its curvature 1/r is past the double range\n"
+
     def test_wrong_count(self, tmp_path):
         assert main(["solve4", write_doc(tmp_path, QUAD_DOC)]) == 2
 
@@ -813,6 +820,42 @@ def test_numpy_loads_only_for_verify_and_gasket(tmp_path):
     assert (numpy_before, numpy_after) == (False, True)
     assert missing == []
     assert unknown == "module 'diskgeom' has no attribute 'no_such_name'"
+
+
+# run in a fresh interpreter: seeding, limits and the gasket refusals that come before growth
+NUMPY_FOR_ARRAYS_ONLY = """
+import contextlib, io, json, sys
+import diskgeom, diskgeom.cli
+diskgeom.canonical_quadruple((-1, 2, 2))
+diskgeom.canonical_quadruple((-1, 2, 2, 3))
+diskgeom.GenerationLimits(max_depth=3)
+refusals = [
+    ["--seed", "1,1,-5", "--depth", "3"], ["--seed", "1,2,3,4", "--depth", "3"],
+    ["--seed", "0,1,1", "--max-curvature", "10"], ["--seed", "-1,2,2,3", "--max-curvature", "inf"],
+]
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    codes = [diskgeom.cli.main(["gasket", *argv]) for argv in refusals]
+numpy_before = "numpy" in sys.modules
+codes.append(diskgeom.cli.main(["gasket", "--seed", "-1,2,2,3", "--depth", "2"]))
+print(json.dumps([codes, err.getvalue().splitlines(), numpy_before, "numpy" in sys.modules]))
+"""
+
+
+# gasket imports numpy only where it builds or reads arrays, so a run that it refuses never loads numpy
+def test_gasket_seeds_and_refusals_load_no_numpy():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", NUMPY_FOR_ARRAYS_ONLY], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    codes, errors, numpy_before, numpy_after = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [6, 6, 6, 2, 0]
+    assert errors == [
+        "error: ab+bc+ca = -9.0 is negative, no real fourth curvature",
+        "error: fourth curvature 4.0 matches neither tangent root within 4e-06",
+        "error: seed vector 0 is a halfplane, so a curvature limit alone never ends the growth; "
+        "set a depth or count limit",
+        "error: max_curvature must be a finite real number > 0, got inf",
+    ]
+    assert (numpy_before, numpy_after) == (False, True)
 
 
 # run in a fresh interpreter: the numpy flags after the plain imports and after an n-sphere query,

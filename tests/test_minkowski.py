@@ -96,6 +96,16 @@ class TestLift:
         with pytest.raises(ZeroRadius):
             lift(Circle((0, 0), math.inf))
 
+    # 1/r overflows for these subnormal radii; inner_geometric needs no curvature and still takes them
+    @pytest.mark.parametrize("r", [5e-324, -5e-324, 1e-310])
+    def test_radius_of_overflowing_curvature_rejected(self, r):
+        message = f"^radius {r!r} is too small: its curvature 1/r is past the double range$"
+        with pytest.raises(ZeroRadius, match=message):
+            lift(Circle((0, 0), r))
+        with pytest.raises(ZeroRadius, match=message):
+            lift(Circle((0.0, 0.0, 0.0), r))
+        assert inner_geometric(Circle((0, 0), r), Circle((2 * r, 0), r)) == pytest.approx(1.0)
+
     def test_non_unit_normal_rejected(self):
         with pytest.raises(NonUnitNormal):
             lift(Halfplane((1, 1), 0))

@@ -72,9 +72,11 @@ def calls(floats, lifted) -> dict:
     disks = st.one_of(circles, st.builds(Halfplane, st.one_of(UNIT_NORMALS, st.tuples(floats, floats)), floats))
     raw_vectors = st.builds(CircleVector, floats, floats, floats, floats)
     seeds = st.lists(floats, min_size=3, max_size=4)
-    # lift raises for no finite circle of nonzero radius and no halfplane of unit normal
+    # lift raises for no finite circle whose curvature 1/r is finite and no halfplane of unit normal
     liftable = st.one_of(
-        st.builds(Circle, st.tuples(lifted, lifted), lifted).filter(lambda c: c.radius != 0.0),
+        st.builds(Circle, st.tuples(lifted, lifted), lifted).filter(
+            lambda c: c.radius != 0.0 and math.isfinite(1.0 / c.radius)
+        ),
         st.builds(Halfplane, UNIT_NORMALS, lifted),
     )
     vectors = st.one_of(raw_vectors, liftable.map(diskgeom.lift))
