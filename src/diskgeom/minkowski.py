@@ -142,13 +142,22 @@ def lift(d: Disk) -> CircleVector:
         s += c * c
     if not math.isfinite(s):  # an overflow, or a nan or inf coordinate
         check_finite(d.center, "center")
-    return CircleVector(tuple(c / r for c in d.center), 1.0 / r, (s - r * r) / r)
+    coords, gamma = tuple(c / r for c in d.center), (s - r * r) / r
+    if math.isinf(gamma) and math.inf in map(abs, coords):  # |c/r| > max needs |c| > 1, so gamma overflows too
+        raise ZeroRadius(f"radius {r!r} is too small for center {d.center!r}: c/r is past the double range")
+    return CircleVector(coords, 1.0 / r, gamma)
 
 
 def _radius(d: Circle) -> float:
     if d.radius == 0.0 or not math.isfinite(d.radius):
         raise ZeroRadius(f"radius must be finite and nonzero, got {d.radius!r}")
     return d.radius
+
+
+def power_scaled(values: Sequence[float]) -> tuple[float, list[float]]:
+    """The power of 2 that brings the largest |value| into [1, 2), and the values divided by it (exact unless tiny)."""
+    unit = 2.0 ** (math.frexp(max(map(abs, values)))[1] - 1)
+    return unit, [x / unit for x in values]
 
 
 def check_finite(values: Iterable[float], what: str) -> None:
@@ -195,9 +204,11 @@ def normalize(components: Iterable[float]) -> CircleVector:
         raise BadDimension(f"need n+2 >= 4 components, got {len(xs)}")
     v = CircleVector(*xs)
     s = inner(v, v)
+    if not math.isfinite(s) and all(map(math.isfinite, xs)):  # an overflow: normalize the scaled components
+        return normalize(power_scaled(xs)[1])
     if not s < -_SPACELIKE_TOL:
         raise NotSpacelike(f"<v,v> = {s!r} is {'not a number' if math.isnan(s) else 'not negative'}")
-    if s == -math.inf:  # an overflow, which scales to zero, or an infinite component
+    if s == -math.inf:  # an infinite component, which would scale to nan
         check_finite(xs, "component")
     scale = 1.0 / math.sqrt(-s)
     return CircleVector(*[x * scale for x in xs])
@@ -223,17 +234,23 @@ def inner_geometric(d1: Disk, d2: Disk) -> float:
     if isinstance(d1, Halfplane) or isinstance(d2, Halfplane):
         return inner(lift(d1), lift(d2))
     r1, r2 = _radius(d1), _radius(d2)
-    # degree 0 in the lengths: dividing small ones by a power of 2 near sqrt|r1*r2| is exact and keeps
-    # 2*r1*r2 from underflowing, so a product below max/16 keeps its bits unless the unscaled one underflowed
-    unit = 2.0 ** min(0, (math.frexp(r1)[1] + math.frexp(r2)[1]) // 2 - 1)
-    r1, r2 = r1 / unit, r2 / unit
-    s = 0.0  # balls of different dimensions raise ValueError
-    for a, b in zip(d1.center, d2.center, strict=True):
-        x = (b - a) / unit
+    xs = [b - a for a, b in zip(d1.center, d2.center, strict=True)]  # balls of different dimensions raise ValueError
+    # degree 0 in the lengths: a unit near sqrt|r1*r2| keeps 2*r1*r2 normal, and one of at least 2^-500 times
+    # the largest radius or center difference keeps every square finite
+    big = max(map(abs, (r1, r2, *xs)))
+    unit = power_scaled((max(math.sqrt(abs(r1)) * math.sqrt(abs(r2)), big * 2.0**-500),))[0]
+    r1, r2, s = r1 / unit, r2 / unit, 0.0
+    for x in xs:
+        x /= unit
         s += x * x
-    if not math.isfinite(s):
+    if not math.isfinite(s):  # a non-finite coordinate, or a difference past the double range: halve every length
         check_finite((*d1.center, *d2.center), "center")
-    return (s - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
+        # except a radius of 5e-324, whose product beside such a difference is past the double range either way
+        halves = [Circle(tuple(0.5 * c for c in d.center), 0.5 * d.radius or d.radius) for d in (d1, d2)]
+        return inner_geometric(*halves)
+    n, p = s - r1 * r1 - r2 * r2, 2.0 * r1 * r2
+    # p == 0: r1*r2 underflowed, so the product is past the double range, or below it where n is 0
+    return n / p if p else (math.copysign(math.inf, n * p) if n else -p)
 
 
 def intersection_angle(d1: Disk, d2: Disk) -> float | None:

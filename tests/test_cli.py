@@ -221,6 +221,26 @@ class TestSolve4:
         assert main(["solve4", write_doc(tmp_path, QUAD_DOC)]) == 2
 
 
+# a finite curvature but a reduced center c/r past the double range: each subcommand that lifts names the
+# disk and exits 2, where solve4, verify, gasket --input and lift used to exit 5, 3, 6 and 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve4", "{triple}"],
+        ["verify", "{quad}"],
+        ["gasket", "--input", "{quad}", "--depth", "1"],
+        ["lift", "circle", "1e10", "0", "1e-300"],
+    ],
+)
+def test_reduced_center_past_the_double_range_is_named(argv, tmp_path, capsys):
+    far = {"type": "circle", "center": [1e10, 0.0], "radius": 1e-300}
+    triple = write_doc(tmp_path, {"disks": [far] + TRIPLE_DOC["disks"][1:]}, "triple.json")
+    quad = write_doc(tmp_path, {"disks": [far] + QUAD_DOC["disks"][1:]}, "quad.json")
+    assert main([a.format(triple=triple, quad=quad) for a in argv]) == 2
+    message = "radius 1e-300 is too small for center (10000000000.0, 0.0): c/r is past the double range"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def empty_gasket(seed, limits):
     disks = GasketDisks(np.empty((0, 4)), np.empty(0, np.intp), np.empty(0, np.intp))
     return Gasket(disks, GasketQuadruples(np.empty((0, 4), np.intp), disks.vectors))

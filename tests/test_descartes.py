@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from diskgeom.descartes import worst_tangency
 from diskgeom.minkowski import halfplane_geometry
 
 curvature = st.floats(-10.0, 100.0)
+# 0, or a double of magnitude 2^-21 to 2^20: scaled by 2^j for |j| <= 450, it and its squares stay normal
+SCALABLE = st.builds(math.ldexp, st.just(0.0) | st.floats(0.5, 1.0) | st.floats(-1.0, -0.5), st.integers(-20, 20))
 
 
 def reference_solution_line(rows, rhs):
@@ -197,6 +200,12 @@ class TestDescartesResidual:
         assert repr(descartes_residual(a, b, c, d)) == repr(expected)
 
 
+def _real_fourth_curvature(a: float, b: float, c: float) -> bool:
+    """ab+bc+ca >= 0 in exact arithmetic, where the double products may underflow to -0.0."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    return a * b + b * c + c * a >= 0
+
+
 class TestSolveFourthCurvature:
     def test_integral_triple(self):
         assert solve_fourth_curvature(2, 2, 3) == (15.0, -1.0)
@@ -229,16 +238,48 @@ class TestSolveFourthCurvature:
         with pytest.raises(ComplexRoots, match=message):
             solve_fourth_curvature(math.nan, 1, 1)
 
+    # solved on the curvatures over the power of 2 near the largest, then scaled back
+    def test_huge_triple_does_not_overflow(self):
+        assert solve_fourth_curvature(1e200, 1e200, 1e200) == (6.464101615137755e200, -4.641016151377544e199)
+
+    def test_tiny_triple_does_not_underflow(self):
+        hi, lo = solve_fourth_curvature(1e-200, 2e-200, 3e-200)
+        assert hi == pytest.approx((6.0 + 2.0 * math.sqrt(11.0)) * 1e-200, rel=1e-15, abs=0.0)
+        assert lo == pytest.approx((6.0 - 2.0 * math.sqrt(11.0)) * 1e-200, rel=1e-14, abs=0.0)
+
+    # ab+bc+ca is negative in exact arithmetic for (1e-6, 1e-6, -6e-7): the real-root gate is relative to its terms
+    def test_small_triple_without_real_root_rejected(self):
+        message = r"^ab\+bc\+ca = -1\.99+\d*e-13 is negative, no real fourth curvature$"
+        with pytest.raises(ComplexRoots, match=message):
+            solve_fourth_curvature(1e-6, 1e-6, -6e-7)
+
+    @given(st.lists(SCALABLE, min_size=3, max_size=3), st.integers(-450, 450))
+    def test_dilation_scales_the_roots_bit_for_bit(self, triple, j):
+        try:
+            want = [math.ldexp(x, j).hex() for x in solve_fourth_curvature(*triple)]
+        except ComplexRoots:
+            with pytest.raises(ComplexRoots):
+                solve_fourth_curvature(*(math.ldexp(x, j) for x in triple))
+            return
+        assert [x.hex() for x in solve_fourth_curvature(*(math.ldexp(x, j) for x in triple))] == want
+
+    # ab+bc+ca = -bc for (a, b, -b): tiny beside a^2, or above -1e-12, but not beside its terms
+    def test_spread_triple_without_real_root_rejected(self):
+        with pytest.raises(ComplexRoots, match=r"^ab\+bc\+ca = -9\.99+\d*e-07 is negative"):
+            solve_fourth_curvature(1e4, 1e-3, -1e-3)
+        with pytest.raises(ComplexRoots, match=r"^ab\+bc\+ca = -9\.99+\d*e-15 is negative"):
+            solve_fourth_curvature(1.0, 1e-7, -1e-7)
+
     @given(curvature, curvature, curvature)
     def test_roots_satisfy_residual(self, a, b, c):
-        assume(a * b + b * c + c * a >= 0.0)
+        assume(_real_fourth_curvature(a, b, c))
         for d in solve_fourth_curvature(a, b, c):
             scale = max(1.0, a * a + b * b + c * c + d * d)
             assert abs(descartes_residual(a, b, c, d)) <= 1e-9 * scale
 
     @given(curvature, curvature, curvature)
     def test_roots_sum_to_twice_triple_sum(self, a, b, c):
-        assume(a * b + b * c + c * a >= 0.0)
+        assume(_real_fourth_curvature(a, b, c))
         hi, lo = solve_fourth_curvature(a, b, c)
         s = a + b + c
         assert hi + lo == pytest.approx(2.0 * s, rel=1e-12, abs=1e-10 * max(1.0, abs(s)))

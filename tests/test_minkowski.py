@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -47,6 +48,8 @@ def circles(draw, max_center=1e3, min_radius=1e-3, max_radius=1e3):
     return Circle((x, y), sign * mag)
 
 
+# 0, or a double of magnitude 2^-21 to 2^20: scaled by 2^j for |j| <= 450, it and its squares stay normal
+SCALABLE = st.builds(math.ldexp, st.just(0.0) | st.floats(0.5, 1.0) | st.floats(-1.0, -0.5), st.integers(-20, 20))
 # 0, or a double of magnitude 2^-301 to 2^300
 MODERATE = st.builds(math.ldexp, st.just(0.0) | st.floats(0.5, 1.0) | st.floats(-1.0, -0.5), st.integers(-300, 300))
 
@@ -128,6 +131,14 @@ class TestLift:
 
     def test_huge_center_lifts_to_inf(self):
         assert lift(Circle((1e200, 0.0), 1.0)).gamma == math.inf
+
+    # the curvature 1/r is finite, but the reduced center c/r is not
+    @pytest.mark.parametrize("center", [(1e10, 0.0), (0.0, -1e10), (1e10, 0.0, 0.0)])
+    def test_reduced_center_past_the_double_range_rejected(self, center):
+        message = rf"^radius 1e-300 is too small for center {re.escape(repr(center))}: c/r is past the double range$"
+        with pytest.raises(ZeroRadius, match=message):
+            lift(Circle(center, 1e-300))
+        assert lift(Circle(center, 1e-298)).dim == len(center)  # c/r = 1e308 is finite
 
     @given(circles(max_center=10, min_radius=0.5, max_radius=10))
     def test_moderate_circles_normalize_tightly(self, c):
@@ -234,6 +245,20 @@ class TestNormalize:
         with pytest.raises(BadDimension, match="need n\\+2 >= 4 components, got 3"):
             normalize((0.0, 1.0, -1.0))
 
+    # <v,v> overflows to -inf, or to nan as -inf + inf, so the scaled components decide
+    def test_overflowing_self_product_is_scaled(self):
+        assert tuple(normalize([1e200, 0, 1, 0])) == (1.0, 0.0, 1e-200, 0.0)
+        assert tuple(normalize([2.0**601, 0.0, 2.0**600, 2.0**600])) == tuple(normalize([2.0, 0.0, 1.0, 1.0]))
+        with pytest.raises(NotSpacelike, match="is not negative$"):
+            normalize([1.0, 0.0, 1e200, 1e200])
+
+    @given(st.lists(SCALABLE, min_size=4, max_size=6), st.integers(-450, 450))
+    def test_dilation_keeps_the_bits(self, components, j):
+        scaled = [math.ldexp(x, j) for x in components]
+        u, v = CircleVector(*components), CircleVector(*scaled)
+        assume(inner(u, u) < -1e-12 and inner(v, v) < -1e-12)  # the space-like gate is absolute
+        assert [x.hex() for x in normalize(scaled)] == [x.hex() for x in normalize(components)]
+
 
 class TestInner:
     def test_self_product(self):
@@ -305,6 +330,42 @@ class TestInnerGeometric:
         assert inner_geometric(Circle((0.0, 0.0), r), Circle((2.0 * r, 0.0), r)) == 1.0
         assert intersection_angle(Circle((0.0, 0.0), r), Circle((2.0 * r, 0.0), r)) == 0.0
 
+    # a subnormal radius beside a unit one: a unit of at least 2^-500 of the largest length keeps squares finite
+    def test_subnormal_radius_beside_a_unit_disk_is_finite(self):
+        assert inner_geometric(Circle((0, 0), 5e-324), Circle((1, 0), 1)) == 0.0
+
+    # two tiny disks far from the origin: the unit follows the radii and the center difference, not the centers
+    def test_tiny_disks_far_out(self):
+        assert inner_geometric(Circle((1.0, 0.0), 1e-200), Circle((1.0, 0.0), 1e-200)) == -1.0
+        assert inner_geometric(Circle((1e100, 0.0), 1e-100), Circle((1e100, 3e-100), 2e-100)) == pytest.approx(1.0)
+
+    # radii 2^538 apart: in a unit near sqrt|r1*r2| both squares stay normal, so d^2 - r1^2 cancels to 0
+    # and -r2^2 is left, as in the unscaled formula
+    def test_radii_far_apart_keep_their_squares(self):
+        assert inner_geometric(Circle((0.0, 0.0), 2.0**240), Circle((2.0**240, 0.0), 2.0**-298)) == -(2.0**-539)
+
+    # a center difference past the double range: every length is halved first
+    def test_center_difference_past_the_double_range(self):
+        big = 2.0**1023
+        assert inner_geometric(Circle((big, 0.0), big), Circle((-big, 0.0), big)) == 1.0
+        assert inner_geometric(Circle((1.7e308, 0.0), 5e-324), Circle((-1.7e308, 0.0), -5e-324)) == -math.inf
+
+    # 2*r1*r2 underflows even so: the product is past the double range, or below it where
+    # d^2 - r1^2 - r2^2 is an exact 0
+    def test_underflowing_radius_product(self):
+        assert inner_geometric(Circle((5e-324, 5e-324), 5e-324), Circle((5e-324, 0.5), 5e-324)) == math.inf
+        assert inner_geometric(Circle((5e-324, 5e-324), -5e-324), Circle((5e-324, 0.5), 5e-324)) == -math.inf
+        p = inner_geometric(Circle((0.0, 0.0), 5e-324), Circle((1e300, 0.0), 1e300))
+        assert p == 0.0 and math.copysign(1.0, p) == -1.0
+
+    @given(st.lists(SCALABLE, min_size=6, max_size=6), st.integers(-450, 450))
+    def test_dilation_keeps_the_bits(self, xs, j):
+        x1, y1, r1, x2, y2, r2 = xs
+        assume(r1 != 0.0 and r2 != 0.0)
+        want = inner_geometric(Circle((x1, y1), r1), Circle((x2, y2), r2))
+        x1, y1, r1, x2, y2, r2 = (math.ldexp(x, j) for x in xs)
+        assert inner_geometric(Circle((x1, y1), r1), Circle((x2, y2), r2)).hex() == want.hex()
+
     # that scaling is exact, so where the unscaled formula neither underflows nor nears overflow
     # it gives the same bits
     @given(st.lists(MODERATE, min_size=6, max_size=6))
@@ -328,9 +389,13 @@ class TestIntersectionAngle:
     def test_disjoint_is_none(self):
         assert intersection_angle(Circle((0, 0), 1), Circle((5, 0), 1)) is None
 
+    def test_overflowing_squares_give_the_angle(self):
+        # the squared center distance and radii would overflow; they are taken in the unit of the largest length
+        assert intersection_angle(Circle((1e200, 0.0), 1e200), Circle((0.0, 0.0), 1e200)) == math.acos(-0.5)
+
     def test_nan_product_is_none(self):
-        # inf - inf: the squared center distance and radii overflow
-        assert intersection_angle(Circle((1e200, 0.0), 1e200), Circle((0.0, 0.0), 1e200)) is None
+        # 0 * inf in the Minkowski product: the far circle's co-curvature overflows in its lift
+        assert intersection_angle(Halfplane((1.0, 0.0), 0.0), Circle((1e200, 0.0), 1.0)) is None
 
 
 class TestGramian:

@@ -10,6 +10,7 @@ from diskgeom import (
     BadDimension,
     Circle,
     DegenerateConfiguration,
+    NonFiniteOutput,
     NSphere,
     ZeroRadius,
     canonical_simplex_config,
@@ -185,6 +186,15 @@ class TestSoddyGossetResidual:
     def test_low_dimension_rejected(self):
         with pytest.raises(BadDimension):
             soddy_gosset_residual([1, 1, 1], 1)
+
+    # where the sums overflow, the residual is taken on the curvatures over a power of 2 and scaled back
+    def test_overflowing_sums_of_a_tangent_quadruple(self):
+        assert soddy_gosset_residual([-(2.0**520), 2.0**521, 2.0**521, 3.0 * 2.0**520], 2) == 0.0
+
+    def test_residual_past_the_double_range_is_an_error(self):
+        message = r"^the residual of curvatures \[1e\+200, 1e\+200, 1e\+200, 1e\+200\] is past the double range$"
+        with pytest.raises(NonFiniteOutput, match=message):
+            soddy_gosset_residual([1e200] * 4, 2)
 
 
 class TestCanonicalSimplexConfig:

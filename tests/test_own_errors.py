@@ -72,10 +72,11 @@ def calls(floats, lifted) -> dict:
     disks = st.one_of(circles, st.builds(Halfplane, st.one_of(UNIT_NORMALS, st.tuples(floats, floats)), floats))
     raw_vectors = st.builds(CircleVector, floats, floats, floats, floats)
     seeds = st.lists(floats, min_size=3, max_size=4)
-    # lift raises for no finite circle whose curvature 1/r is finite and no halfplane of unit normal
+    # lift raises for no finite circle whose curvature 1/r and reduced center c/r are finite,
+    # and for no halfplane of unit normal
     liftable = st.one_of(
         st.builds(Circle, st.tuples(lifted, lifted), lifted).filter(
-            lambda c: c.radius != 0.0 and math.isfinite(1.0 / c.radius)
+            lambda c: c.radius != 0.0 and all(map(math.isfinite, (1.0 / c.radius, *(x / c.radius for x in c.center))))
         ),
         st.builds(Halfplane, UNIT_NORMALS, lifted),
     )
@@ -104,6 +105,16 @@ def calls(floats, lifted) -> dict:
 CALLS = calls(FLOATS, FLOATS)
 # a non-finite double among ordinary ones; lifted vectors stay finite, as lift refuses the rest
 NON_FINITE_CALLS = calls(st.one_of(NON_FINITE, ORDINARY), ORDINARY)
+# project takes one vector, which the property keeps only when it holds a non-finite double:
+# a raw vector with one at a drawn slot
+NON_FINITE_CALLS["project"] = st.tuples(
+    st.builds(
+        lambda xs, k, bad: CircleVector(*xs[:k], bad, *xs[k + 1 :]),
+        st.lists(st.one_of(NON_FINITE, ORDINARY), min_size=4, max_size=4),
+        st.integers(0, 3),
+        NON_FINITE,
+    )
+)
 SEEDS = st.lists(FLOATS, min_size=3, max_size=4)
 
 
