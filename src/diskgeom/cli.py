@@ -24,7 +24,7 @@ from .errors import (
     NotTangent,
     SingularMatrix,
 )
-from .minkowski import Circle, CircleVector, Disk, Halfplane, configuration_identity, lift, power_scaled, project
+from .minkowski import Circle, CircleVector, Disk, Halfplane, configuration_identity, lift, power_unit, project
 
 SCHEMA_VERSION = 1
 
@@ -279,10 +279,9 @@ def cmd_gasket(args: argparse.Namespace) -> int:
 
 def cmd_soddy(args: argparse.Namespace) -> int:
     curvatures, tol = [_number(b, "curvature") for b in args.curvatures], _tol(args.tol)
-    # relation and gate have degree 2, so they are decided scaled; float products, which never raise, scale back
-    unit, scaled = power_scaled(curvatures)
-    residual = soddy_gosset_residual(scaled, args.dim)
-    scale = sum(map(abs, scaled)) ** 2
+    unit = power_unit(curvatures)  # relation and gate have degree 2: decided scaled, then float products scale back
+    residual = soddy_gosset_residual([b / unit for b in curvatures], args.dim)
+    scale = sum(abs(b) / unit for b in curvatures) ** 2
     passed = abs(residual) <= tol * scale
     print(f"residual = {residual * unit * unit!r}")
     print(f"{'PASS' if passed else 'FAIL'} (tol*scale = {tol * scale * unit * unit!r})")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ComplexRoots, DegenerateTriple, InvalidIndex, NonFiniteOutput, NotTangent
-from .minkowski import CircleVector, check_dimension, check_finite, check_normalized, inner, normalize, power_scaled
+from .minkowski import CircleVector, check_dimension, check_finite, check_normalized, inner, normalize, power_unit
 
 # every gate is written "not x <= bound", so that a nan fails it
 _RANK_TOL = 1e-10
@@ -54,8 +54,8 @@ def soddy_gosset_residual(curvatures: Sequence[float], n: int) -> float:
     residual = _soddy_gosset(bs, float(n))  # float(n): a numpy integer n gives a float too
     if not math.isfinite(residual):  # an overflow, or a non-finite curvature
         check_finite(bs, "curvature")
-        unit, scaled = power_scaled(bs)  # degree 2: the residual of the scaled curvatures times unit^2
-        residual = _soddy_gosset(scaled, float(n)) * unit * unit
+        unit = power_unit(bs)  # degree 2: the residual of the scaled curvatures times unit^2
+        residual = _soddy_gosset([b / unit for b in bs], float(n)) * unit * unit
         if not math.isfinite(residual):
             raise NonFiniteOutput(f"the residual of curvatures {bs!r} is past the double range")
     return residual
@@ -81,22 +81,19 @@ def solve_fourth_curvature(a: float, b: float, c: float) -> tuple[float, float]:
     The larger-magnitude root is computed directly and the other from the
     product of roots, so nearly cancelling sums do not lose precision.
     """
-    unit, (a, b, c) = power_scaled((a, b, c))  # the roots have degree 1: solved scaled, then scaled back
+    unit = power_unit((a, b, c))  # the roots have degree 1: solved scaled, then scaled back
+    a, b, c = a / unit, b / unit, c / unit
     pairs = a * b + b * c + c * a
-    if not pairs >= -_PAIRS_TOL * (abs(a * b) + abs(b * c) + abs(c * a)):  # relative to its own terms
+    if not pairs >= -_PAIRS_TOL:  # scaled, so relative to the largest curvature squared
         why = "is negative" if pairs < 0.0 else "is not a number"
         raise ComplexRoots(f"ab+bc+ca = {pairs * unit * unit!r} {why}, no real fourth curvature")
     if not math.isfinite(pairs):  # an infinite curvature: scaled finite ones give |ab+bc+ca| <= 12
         check_finite((a, b, c), "curvature")
     root = 2.0 * math.sqrt(max(pairs, 0.0))
     s = a + b + c
-    if s >= 0.0:
-        hi = s + root
-        lo = (s * s - root * root) / hi if hi != 0.0 else 0.0
-    else:
-        lo = s - root
-        hi = (s * s - root * root) / lo
-    return hi * unit, lo * unit
+    far = s + root if s >= 0.0 else s - root
+    near = (s * s - root * root) / far if far != 0.0 else 0.0
+    return (far * unit, near * unit) if s >= 0.0 else (near * unit, far * unit)
 
 
 def tangency_residual(vectors: Sequence[CircleVector]) -> float:

@@ -6,7 +6,7 @@ class DiskGeomError(Exception):
 
 
 class ZeroRadius(DiskGeomError):
-    """Circle or sphere radius is zero or not finite, or has a curvature 1/r past the double range."""
+    """Circle or sphere radius is zero or not finite, or its 1/r or reduced center c/r is past the double range."""
 
 
 class NonUnitNormal(DiskGeomError):
@@ -54,7 +54,7 @@ class EmptyGasket(DiskGeomError):
 
 
 class NonFiniteOutput(DiskGeomError):
-    """A gasket disk, an SVG viewport or a report value is not a finite double."""
+    """A gasket disk, an SVG viewport, a report value, a residual or a center difference is not a finite double."""
 
 
 class BadDimension(DiskGeomError):

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from .errors import (
     BadDimension,
     DegenerateConfiguration,
+    NonFiniteOutput,
     NonUnitNormal,
     NotNormalized,
     NotSpacelike,
@@ -142,10 +143,10 @@ def lift(d: Disk) -> CircleVector:
         s += c * c
     if not math.isfinite(s):  # an overflow, or a nan or inf coordinate
         check_finite(d.center, "center")
-    coords, gamma = tuple(c / r for c in d.center), (s - r * r) / r
-    if math.isinf(gamma) and math.inf in map(abs, coords):  # |c/r| > max needs |c| > 1, so gamma overflows too
+    gamma = (s - r * r) / r
+    if math.isinf(gamma) and math.inf in (abs(c / r) for c in d.center):  # |c/r| > max makes gamma overflow too
         raise ZeroRadius(f"radius {r!r} is too small for center {d.center!r}: c/r is past the double range")
-    return CircleVector(coords, 1.0 / r, gamma)
+    return CircleVector(tuple(c / r for c in d.center), 1.0 / r, gamma)
 
 
 def _radius(d: Circle) -> float:
@@ -154,10 +155,9 @@ def _radius(d: Circle) -> float:
     return d.radius
 
 
-def power_scaled(values: Sequence[float]) -> tuple[float, list[float]]:
-    """The power of 2 that brings the largest |value| into [1, 2), and the values divided by it (exact unless tiny)."""
-    unit = 2.0 ** (math.frexp(max(map(abs, values)))[1] - 1)
-    return unit, [x / unit for x in values]
+def power_unit(values: Iterable[float]) -> float:
+    """The power of 2 that brings the largest |value| into [1, 2); dividing by it is exact unless tiny."""
+    return 2.0 ** (math.frexp(max(map(abs, values)))[1] - 1)
 
 
 def check_finite(values: Iterable[float], what: str) -> None:
@@ -205,7 +205,8 @@ def normalize(components: Iterable[float]) -> CircleVector:
     v = CircleVector(*xs)
     s = inner(v, v)
     if not math.isfinite(s) and all(map(math.isfinite, xs)):  # an overflow: normalize the scaled components
-        return normalize(power_scaled(xs)[1])
+        unit = power_unit(xs)
+        return normalize([x / unit for x in xs])
     if not s < -_SPACELIKE_TOL:
         raise NotSpacelike(f"<v,v> = {s!r} is {'not a number' if math.isnan(s) else 'not negative'}")
     if s == -math.inf:  # an infinite component, which would scale to nan
@@ -235,21 +236,15 @@ def inner_geometric(d1: Disk, d2: Disk) -> float:
         return inner(lift(d1), lift(d2))
     r1, r2 = _radius(d1), _radius(d2)
     xs = [b - a for a, b in zip(d1.center, d2.center, strict=True)]  # balls of different dimensions raise ValueError
-    # degree 0 in the lengths: a unit near sqrt|r1*r2| keeps 2*r1*r2 normal, and one of at least 2^-500 times
-    # the largest radius or center difference keeps every square finite
-    big = max(map(abs, (r1, r2, *xs)))
-    unit = power_scaled((max(math.sqrt(abs(r1)) * math.sqrt(abs(r2)), big * 2.0**-500),))[0]
+    if not all(map(math.isfinite, xs)):  # a nan or inf coordinate, or a difference past the double range
+        check_finite((*d1.center, *d2.center), "center")
+        raise NonFiniteOutput(f"centers {d1.center!r} and {d2.center!r} are further apart than the double range")
+    # degree 0 in the lengths: a unit near sqrt|r1*r2| keeps 2*r1*r2 normal, >= 2^-500 of the largest squares finite
+    unit = power_unit((math.sqrt(abs(r1)) * math.sqrt(abs(r2)), 2.0**-500 * max(map(abs, (r1, r2, *xs)))))
     r1, r2, s = r1 / unit, r2 / unit, 0.0
     for x in xs:
-        x /= unit
-        s += x * x
-    if not math.isfinite(s):  # a non-finite coordinate, or a difference past the double range: halve every length
-        check_finite((*d1.center, *d2.center), "center")
-        # except a radius of 5e-324, whose product beside such a difference is past the double range either way
-        halves = [Circle(tuple(0.5 * c for c in d.center), 0.5 * d.radius or d.radius) for d in (d1, d2)]
-        return inner_geometric(*halves)
-    n, p = s - r1 * r1 - r2 * r2, 2.0 * r1 * r2
-    # p == 0: r1*r2 underflowed, so the product is past the double range, or below it where n is 0
+        s += (x / unit) * (x / unit)
+    n, p = s - r1 * r1 - r2 * r2, 2.0 * r1 * r2  # p == 0: the product is past the range, or below it if n == 0
     return n / p if p else (math.copysign(math.inf, n * p) if n else -p)
 
 

@@ -1,7 +1,6 @@
 import math
 import re
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,12 +199,6 @@ class TestDescartesResidual:
         assert repr(descartes_residual(a, b, c, d)) == repr(expected)
 
 
-def _real_fourth_curvature(a: float, b: float, c: float) -> bool:
-    """ab+bc+ca >= 0 in exact arithmetic, where the double products may underflow to -0.0."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    return a * b + b * c + c * a >= 0
-
-
 class TestSolveFourthCurvature:
     def test_integral_triple(self):
         assert solve_fourth_curvature(2, 2, 3) == (15.0, -1.0)
@@ -247,7 +240,7 @@ class TestSolveFourthCurvature:
         assert hi == pytest.approx((6.0 + 2.0 * math.sqrt(11.0)) * 1e-200, rel=1e-15, abs=0.0)
         assert lo == pytest.approx((6.0 - 2.0 * math.sqrt(11.0)) * 1e-200, rel=1e-14, abs=0.0)
 
-    # ab+bc+ca is negative in exact arithmetic for (1e-6, 1e-6, -6e-7): the real-root gate is relative to its terms
+    # ab+bc+ca = -2e-13 for (1e-6, 1e-6, -6e-7): above -1e-12, but the gate acts on the triple over 2^-20
     def test_small_triple_without_real_root_rejected(self):
         message = r"^ab\+bc\+ca = -1\.99+\d*e-13 is negative, no real fourth curvature$"
         with pytest.raises(ComplexRoots, match=message):
@@ -263,23 +256,22 @@ class TestSolveFourthCurvature:
             return
         assert [x.hex() for x in solve_fourth_curvature(*(math.ldexp(x, j) for x in triple))] == want
 
-    # ab+bc+ca = -bc for (a, b, -b): tiny beside a^2, or above -1e-12, but not beside its terms
-    def test_spread_triple_without_real_root_rejected(self):
-        with pytest.raises(ComplexRoots, match=r"^ab\+bc\+ca = -9\.99+\d*e-07 is negative"):
-            solve_fourth_curvature(1e4, 1e-3, -1e-3)
-        with pytest.raises(ComplexRoots, match=r"^ab\+bc\+ca = -9\.99+\d*e-15 is negative"):
-            solve_fourth_curvature(1.0, 1e-7, -1e-7)
+    # ab+bc+ca = -2^-46 for (1, 2^-23, -2^-23), within the gate's 1e-12, so it gives the double root 1; the gate
+    # acts on the scaled triple, so 2^13 times that triple gives 2^13 twice, where ab+bc+ca = -2^-20 used to raise
+    def test_gate_is_relative_to_the_largest_curvature(self):
+        assert solve_fourth_curvature(1.0, 2.0**-23, -(2.0**-23)) == (1.0, 1.0)
+        assert solve_fourth_curvature(2.0**13, 2.0**-10, -(2.0**-10)) == (2.0**13, 2.0**13)
 
     @given(curvature, curvature, curvature)
     def test_roots_satisfy_residual(self, a, b, c):
-        assume(_real_fourth_curvature(a, b, c))
+        assume(a * b + b * c + c * a >= 0.0)
         for d in solve_fourth_curvature(a, b, c):
             scale = max(1.0, a * a + b * b + c * c + d * d)
             assert abs(descartes_residual(a, b, c, d)) <= 1e-9 * scale
 
     @given(curvature, curvature, curvature)
     def test_roots_sum_to_twice_triple_sum(self, a, b, c):
-        assume(_real_fourth_curvature(a, b, c))
+        assume(a * b + b * c + c * a >= 0.0)
         hi, lo = solve_fourth_curvature(a, b, c)
         s = a + b + c
         assert hi + lo == pytest.approx(2.0 * s, rel=1e-12, abs=1e-10 * max(1.0, abs(s)))

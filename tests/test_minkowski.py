@@ -15,6 +15,7 @@ from diskgeom import (
     DegenerateConfiguration,
     Halfplane,
     NSphere,
+    NonFiniteOutput,
     NonUnitNormal,
     NotNormalized,
     NotSpacelike,
@@ -344,11 +345,18 @@ class TestInnerGeometric:
     def test_radii_far_apart_keep_their_squares(self):
         assert inner_geometric(Circle((0.0, 0.0), 2.0**240), Circle((2.0**240, 0.0), 2.0**-298)) == -(2.0**-539)
 
-    # a center difference past the double range: every length is halved first
-    def test_center_difference_past_the_double_range(self):
+    # a center difference past the double range is the package's error, where it used to give nan or inf
+    @pytest.mark.parametrize("r", [2.0**1023, 1.0, 5e-324])
+    def test_center_difference_past_the_double_range(self, r):
         big = 2.0**1023
-        assert inner_geometric(Circle((big, 0.0), big), Circle((-big, 0.0), big)) == 1.0
-        assert inner_geometric(Circle((1.7e308, 0.0), 5e-324), Circle((-1.7e308, 0.0), -5e-324)) == -math.inf
+        centers = re.escape(f"{(big, 0.0)!r} and {(-big, 0.0)!r}")
+        with pytest.raises(NonFiniteOutput, match=f"^centers {centers} are further apart than the double range$"):
+            inner_geometric(Circle((big, 0.0), r), Circle((-big, 0.0), r))
+
+    # a halfplane beside a finite circle whose reduced center c/r overflows: lift refuses the circle
+    def test_halfplane_beside_an_unliftable_circle(self):
+        with pytest.raises(ZeroRadius, match=r"c/r is past the double range$"):
+            inner_geometric(Halfplane((1.0, 0.0), 0.0), Circle((1e10, 0.0), 1e-300))
 
     # 2*r1*r2 underflows even so: the product is past the double range, or below it where
     # d^2 - r1^2 - r2^2 is an exact 0
