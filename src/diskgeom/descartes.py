@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ComplexRoots, DegenerateTriple, InvalidIndex, NonFiniteOutput, NotTangent
-from .minkowski import CircleVector, check_dimension, check_finite, check_normalized, inner, normalize, power_unit
+from .minkowski import CircleVector, _dimension, check_dimension, check_finite, check_normalized, inner, normalize
+from .minkowski import power_unit
 
 # every gate is written "not x <= bound", so that a nan fails it
 _RANK_TOL = 1e-10
@@ -119,17 +120,6 @@ def _worst_pair(vectors: Sequence[CircleVector]) -> tuple[float, tuple[int, int]
     return worst, pair
 
 
-def _dimension(vectors: Sequence[CircleVector], *extras: int) -> int:
-    """The shared dimension n of n+e vectors, e in extras; ValueError otherwise, BadDimension for n < 2."""
-    dims = tuple([len(v.coords) if isinstance(v, CircleVector) else None for v in vectors])  # None: a positional tol
-    n = dims[0] if dims and dims[0] is not None else 2
-    if len(dims) - n not in extras or dims.count(n) != len(dims):
-        need, rule = " or ".join(str(n + e) for e in extras), " or ".join(f"n+{e}" if e else "n" for e in extras)
-        raise ValueError(f"expected {need} vectors, got {len(dims)} of dimensions {dims}: {rule} of one dimension n")
-    check_dimension(n)
-    return n
-
-
 def _check_tangent(vectors: Sequence[CircleVector], tol: float) -> None:
     """Raise NotTangent naming the worst pair when its residual exceeds tol; callers have checked the count."""
     worst, (i, j) = _worst_pair(vectors)
@@ -206,13 +196,15 @@ def _roots_on_line(point: list[float], direction: list[float]) -> tuple[CircleVe
         raise ComplexRoots(f"discriminant {disc!r} is {'negative' if disc < 0.0 else 'not a number'}")
     sq = math.sqrt(max(disc, 0.0))
     q = -(b + math.copysign(sq, b))
-    if q != 0.0:
-        t1, t2 = q / alpha, c0 / q
-    else:
-        t1 = t2 = 0.0
-    ends = [normalize([x + t * y for x, y in zip(point, direction)]) for t in (t1, t2)]
+    t1, t2 = (q / alpha, c0 / q) if q != 0.0 else (0.0, 0.0)
+    ends = [[x + t * y for x, y in zip(point, direction)] for t in (t1, t2)]
+    try:
+        roots = [normalize(xs) for xs in ends]
+    except ValueError:  # an end overflowed to inf, which normalize would blame on its caller; a nan is NotSpacelike
+        end = next(xs for xs in ends if math.inf in map(abs, xs))
+        raise NonFiniteOutput(f"root {end!r} on the solution line is past the double range") from None
     # larger curvature first; the other components break exact ties
-    hi, lo = sorted(ends, key=lambda v: (-v.beta, *map(operator.neg, v.coords), -v.gamma))
+    hi, lo = sorted(roots, key=lambda v: (-v.beta, *map(operator.neg, v.coords), -v.gamma))
     return hi, lo
 
 

@@ -54,7 +54,7 @@ class EmptyGasket(DiskGeomError):
 
 
 class NonFiniteOutput(DiskGeomError):
-    """A gasket disk, an SVG viewport, a report value, a residual or a center difference is not a finite double."""
+    """A gasket disk, SVG viewport, report value, residual, center difference or solver root is not a finite double."""
 
 
 class BadDimension(DiskGeomError):

@@ -97,7 +97,7 @@ class CircleVector:
 
     def __init__(self, *components) -> None:
         *coords, beta, gamma = components
-        if len(coords) == 1:  # CircleVector(coords, beta, gamma)
+        if len(coords) == 1 and hasattr(coords[0], "__iter__"):  # CircleVector(coords, beta, gamma)
             (coords,) = coords
         object.__setattr__(self, "coords", tuple(coords))
         object.__setattr__(self, "beta", beta)
@@ -197,6 +197,17 @@ def check_dimension(n: int) -> None:
         raise BadDimension(f"dimension must be >= 2, got {n!r}")
 
 
+def _dimension(vectors: Sequence[CircleVector], *extras: int) -> int:
+    """The shared dimension n of n+e vectors, e in extras; ValueError otherwise, BadDimension for n < 2."""
+    dims = tuple([len(v.coords) if isinstance(v, CircleVector) else None for v in vectors])  # None: a tol or a tuple
+    n = dims[0] if dims and dims[0] is not None else 2
+    if len(dims) - n not in extras or dims.count(n) != len(dims):
+        need, rule = " or ".join(str(n + e) for e in extras), " or ".join(f"n+{e}" if e else "n" for e in extras)
+        raise ValueError(f"expected {need} vectors, got {len(dims)} of dimensions {dims}: {rule} of one dimension n")
+    check_dimension(n)
+    return n
+
+
 def normalize(components: Iterable[float]) -> CircleVector:
     """Scale a raw space-like (n+2)-vector, n >= 2, to self-product -1, preserving orientation."""
     xs = [float(c) for c in components]
@@ -257,14 +268,8 @@ def intersection_angle(d1: Disk, d2: Disk) -> float | None:
 def _rows_and_gramian(vectors: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """(n+2, n+2) array whose rows are n+2 lifted vectors (coords, beta, gamma), and their Gramian."""
     import numpy as np
-    if not vectors:
-        raise ValueError("no vectors given")
-    # np.array raises ValueError on vectors of different dimensions
+    n = _dimension(vectors, 2)
     rows = np.array([tuple(v) for v in vectors], dtype=float)
-    m, k = rows.shape
-    n = k - 2
-    if m != k:
-        raise ValueError(f"need n+2 = {n + 2} vectors for n = {n}, got {m}")
     coords, beta, gamma = rows[:, :n], rows[:, n], rows[:, n + 1]
     # huge finite inputs may overflow to inf or nan here; invert_matrix
     # rejects a non-finite Gramian, so numpy need not warn about it

@@ -119,12 +119,14 @@ class TestVerify:
     def test_three_disks_is_parse_error(self, tmp_path, capsys):
         code = main(["verify", write_doc(tmp_path, TRIPLE_DOC)])
         assert code == 2
-        assert capsys.readouterr().err == "error: need n+2 = 4 vectors for n = 2, got 3\n"
+        message = "expected 4 vectors, got 3 of dimensions (2, 2, 2): n+2 of one dimension n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_one_sphere_is_parse_error(self, tmp_path, capsys):
         doc = {"dim": 3, "disks": SPHERE_DOC["disks"][:1]}
         assert main(["verify", write_doc(tmp_path, doc)]) == 2
-        assert capsys.readouterr().err == "error: need n+2 = 5 vectors for n = 3, got 1\n"
+        message = "expected 5 vectors, got 1 of dimensions (3,): n+2 of one dimension n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_repeated_disk_is_degenerate(self, tmp_path):
         doc = {"disks": [QUAD_DOC["disks"][0]] * 2 + QUAD_DOC["disks"][2:]}

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from diskgeom import (
     DiskGeomError,
     Halfplane,
     InvalidIndex,
+    NonFiniteOutput,
     NotNormalized,
     NotTangent,
     Quadruple,
@@ -36,11 +38,17 @@ from diskgeom import (
     vieta_reflect,
 )
 from diskgeom.descartes import worst_tangency
-from diskgeom.minkowski import halfplane_geometry
+from diskgeom.minkowski import configuration_identity, halfplane_geometry
 
 curvature = st.floats(-10.0, 100.0)
 # 0, or a double of magnitude 2^-21 to 2^20: scaled by 2^j for |j| <= 450, it and its squares stay normal
 SCALABLE = st.builds(math.ldexp, st.just(0.0) | st.floats(0.5, 1.0) | st.floats(-1.0, -0.5), st.integers(-20, 20))
+
+
+def has_real_fourth_curvature(a, b, c):
+    """ab+bc+ca >= 0 in exact arithmetic; in doubles the products of tiny curvatures underflow to 0."""
+    a, b, c = map(Fraction, (a, b, c))
+    return a * b + b * c + c * a >= 0
 
 
 def reference_solution_line(rows, rhs):
@@ -111,7 +119,12 @@ def reference_roots_on_line(point, direction):
     # the solver's Python floats give inf and nan here without a warning, so numpy gives none either
     with np.errstate(over="ignore", invalid="ignore"):
         ends = point + t1 * direction, point + t2 * direction
-    roots = sorted(map(normalize, ends), key=lambda v: (-v.beta, -v.xdot, -v.ydot, -v.gamma))
+    try:
+        normalized = [normalize(end) for end in ends]
+    except ValueError:  # an end past the double range is the solver's output, not its input
+        end = next(end for end in ends if np.isinf(end).any())
+        raise NonFiniteOutput(f"root {end.tolist()!r} on the solution line is past the double range") from None
+    roots = sorted(normalized, key=lambda v: (-v.beta, -v.xdot, -v.ydot, -v.gamma))
     return roots[0], roots[1]
 
 
@@ -264,14 +277,14 @@ class TestSolveFourthCurvature:
 
     @given(curvature, curvature, curvature)
     def test_roots_satisfy_residual(self, a, b, c):
-        assume(a * b + b * c + c * a >= 0.0)
+        assume(has_real_fourth_curvature(a, b, c))
         for d in solve_fourth_curvature(a, b, c):
             scale = max(1.0, a * a + b * b + c * c + d * d)
             assert abs(descartes_residual(a, b, c, d)) <= 1e-9 * scale
 
     @given(curvature, curvature, curvature)
     def test_roots_sum_to_twice_triple_sum(self, a, b, c):
-        assume(a * b + b * c + c * a >= 0.0)
+        assume(has_real_fourth_curvature(a, b, c))
         hi, lo = solve_fourth_curvature(a, b, c)
         s = a + b + c
         assert hi + lo == pytest.approx(2.0 * s, rel=1e-12, abs=1e-10 * max(1.0, abs(s)))
@@ -333,6 +346,10 @@ class TestSolversMatchReference:
     @example(  # a subnormal curvature: t1 * direction meets inf * 0
         CircleVector(0.0, 1.0, 0.0, 1.0), CircleVector(0.0, -1.0, 2.225073858507e-311, 0.0),
         CircleVector(1.0, 0.0, 0.0, 0.0), 0.0,
+    )
+    @example(  # a root end overflows to inf: the solver reports it, not normalize's input check
+        CircleVector(0.0, 1.0, 0.0, 1.0), CircleVector(0.0, -1.0, 2.225073858507e-311, 0.0),
+        CircleVector(1.0, 0.0, 0.0, 1.0), 0.0,
     )
     def test_raw_vectors(self, c1, c2, c3, curvature):
         # a huge tol lets non-tangent triples reach the root computation
@@ -562,6 +579,12 @@ def balls(*dims: int) -> tuple[CircleVector, ...]:
         pytest.param(lambda *v: vieta_reflect(Quadruple(v), 0), balls(2, 2, 2, 3), 4, "n+2", id="vieta_reflect-mixed"),
         pytest.param(lambda *v: Quadruple(v).validate(), balls(3, 3, 3, 3), 5, "n+2", id="validate-count"),
         pytest.param(lambda *v: Quadruple(v).validate(), balls(3, 2, 2, 2, 2), 5, "n+2", id="validate-mixed"),
+        pytest.param(lambda *v: gramian(v), balls(2, 2, 2), 4, "n+2", id="gramian-count"),
+        pytest.param(lambda *v: gramian(v), balls(3, 3, 3, 2, 3), 5, "n+2", id="gramian-mixed"),
+        pytest.param(lambda *v: configuration_identity(v), balls(3, 3, 3, 3), 5, "n+2", id="identity-count"),
+        pytest.param(lambda *v: configuration_identity(v), balls(2, 2, 3, 2), 4, "n+2", id="identity-mixed"),
+        pytest.param(lambda *v: verify_generalized(v), balls(2, 2, 2, 2, 2), 4, "n+2", id="verify-count"),
+        pytest.param(lambda *v: verify_generalized(v), balls(2, 2, 2, 3), 4, "n+2", id="verify-mixed"),
     ],
 )
 def test_counts_name_the_rule_and_dimensions(call, vectors, need, rule):

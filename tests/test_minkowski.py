@@ -434,7 +434,8 @@ class TestGramian:
             gramian([CircleVector(0, 0, 1, -1)] * 3)
 
     def test_mixed_dimensions(self):
-        with pytest.raises(ValueError, match="inhomogeneous"):
+        message = "expected 4 vectors, got 4 of dimensions (2, 2, 2, 3): n+2 of one dimension n"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             gramian([CircleVector(0, 0, 1, -1)] * 3 + [CircleVector((0, 0, 0), 1, -1)])
 
     @staticmethod
@@ -562,8 +563,26 @@ def test_lift_rejects_one_dimension():
 
 
 def test_gramian_of_nothing():
-    with pytest.raises(ValueError, match="no vectors given"):
+    message = "expected 4 vectors, got 0 of dimensions (): n+2 of one dimension n"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         gramian([])
+
+
+def test_gramian_of_one_dimensional_balls():
+    segment = CircleVector((0.0,), 1.0, -1.0)  # n+2 = 3 vectors of n = 1, refused as the solvers refuse them
+    with pytest.raises(BadDimension, match="^dimension must be >= 2, got 1$"):
+        gramian([segment] * 3)
+
+
+def test_one_flat_coordinate():
+    assert CircleVector(0.0, 1.0, -1.0) == CircleVector((0.0,), 1.0, -1.0)
+
+
+@pytest.mark.parametrize("name", ["xdot", "ydot"])
+def test_planar_names_need_a_disk(name):
+    ball = lift(Circle((0.0, 0.0, 0.0), 1.0))
+    with pytest.raises(BadDimension, match=r"^planar code needs a lifted disk \(n = 2\), got n = 3$"):
+        getattr(ball, name)
 
 
 def test_invert_matrix_rejects_non_square():
