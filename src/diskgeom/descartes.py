@@ -196,7 +196,10 @@ def _roots_on_line(point: list[float], direction: list[float]) -> tuple[CircleVe
         raise ComplexRoots(f"discriminant {disc!r} is {'negative' if disc < 0.0 else 'not a number'}")
     sq = math.sqrt(max(disc, 0.0))
     q = -(b + math.copysign(sq, b))
-    t1, t2 = (q / alpha, c0 / q) if q != 0.0 else (0.0, 0.0)
+    if q != 0.0:
+        t1, t2 = q / alpha, c0 / q
+    else:
+        t1 = t2 = 0.0
     ends = [[x + t * y for x, y in zip(point, direction)] for t in (t1, t2)]
     try:
         roots = [normalize(xs) for xs in ends]

@@ -265,9 +265,10 @@ def intersection_angle(d1: Disk, d2: Disk) -> float | None:
     return math.acos(p) if abs(p) <= 1.0 else None  # a nan product misses too
 
 
-def _rows_and_gramian(vectors: Sequence) -> tuple[np.ndarray, np.ndarray]:
+def _rows_and_gramian(vectors: Iterable) -> tuple[np.ndarray, np.ndarray]:
     """(n+2, n+2) array whose rows are n+2 lifted vectors (coords, beta, gamma), and their Gramian."""
     import numpy as np
+    vectors = tuple(vectors)  # read twice, so a generator serves as well
     n = _dimension(vectors, 2)
     rows = np.array([tuple(v) for v in vectors], dtype=float)
     coords, beta, gamma = rows[:, :n], rows[:, n], rows[:, n + 1]
@@ -280,7 +281,7 @@ def _rows_and_gramian(vectors: Sequence) -> tuple[np.ndarray, np.ndarray]:
         return rows, 0.5 * (bg + bg.T) - coords @ coords.T
 
 
-def gramian(vectors: Sequence) -> np.ndarray:
+def gramian(vectors: Iterable) -> np.ndarray:
     """Symmetric matrix of pairwise products of n+2 lifted vectors in n-space."""
     return _rows_and_gramian(vectors)[1]
 
@@ -318,7 +319,7 @@ def invert4(m: np.ndarray) -> np.ndarray:
     return invert_matrix(m)
 
 
-def configuration_identity(vectors: Sequence) -> tuple[np.ndarray, np.ndarray, float]:
+def configuration_identity(vectors: Iterable) -> tuple[np.ndarray, np.ndarray, float]:
     """Gramian f, its inverse and the max-abs residual of D f^-1 D^T = G.
 
     D holds the n+2 lifted vectors as columns.  For any configuration with
@@ -334,7 +335,7 @@ def configuration_identity(vectors: Sequence) -> tuple[np.ndarray, np.ndarray, f
     return f, finv, float(np.abs(resid).max())
 
 
-def verify_generalized(vectors: Sequence) -> float:
+def verify_generalized(vectors: Iterable) -> float:
     """Residual of configuration_identity; a singular Gramian is a DegenerateConfiguration."""
     try:
         return configuration_identity(vectors)[2]

@@ -45,10 +45,17 @@ curvature = st.floats(-10.0, 100.0)
 SCALABLE = st.builds(math.ldexp, st.just(0.0) | st.floats(0.5, 1.0) | st.floats(-1.0, -0.5), st.integers(-20, 20))
 
 
-def has_real_fourth_curvature(a, b, c):
-    """ab+bc+ca >= 0 in exact arithmetic; in doubles the products of tiny curvatures underflow to 0."""
-    a, b, c = map(Fraction, (a, b, c))
-    return a * b + b * c + c * a >= 0
+def real_fourth_curvatures(a, b, c):
+    """solve_fourth_curvature(a, b, c), or () where it raises ComplexRoots, as it may only on a triple whose exact
+    ab+bc+ca is below -1e-13 times its largest curvature squared: its gate refuses below -1e-12 on the triple
+    scaled to a largest |curvature| in [1, 2).  A double ab+bc+ca >= 0 admits such triples where the products
+    of tiny curvatures underflow, and exact ones just below 0 that the gate accepts."""
+    try:
+        return solve_fourth_curvature(a, b, c)
+    except ComplexRoots:
+        a, b, c = map(Fraction, (a, b, c))
+        assert a * b + b * c + c * a < Fraction(-1e-13) * max(abs(a), abs(b), abs(c)) ** 2
+        return ()
 
 
 def reference_solution_line(rows, rhs):
@@ -276,18 +283,24 @@ class TestSolveFourthCurvature:
         assert solve_fourth_curvature(2.0**13, 2.0**-10, -(2.0**-10)) == (2.0**13, 2.0**13)
 
     @given(curvature, curvature, curvature)
+    @example(0.0, 2.2250738585072014e-308, -1.6075083963551364e-307)  # products underflow: refused
+    @example(53.0, -6.0, 6.76595744680851)  # exact ab+bc+ca < 0 within the gate: a double root
     def test_roots_satisfy_residual(self, a, b, c):
-        assume(has_real_fourth_curvature(a, b, c))
-        for d in solve_fourth_curvature(a, b, c):
+        assume(a * b + b * c + c * a >= 0.0)
+        for d in real_fourth_curvatures(a, b, c):
             scale = max(1.0, a * a + b * b + c * c + d * d)
             assert abs(descartes_residual(a, b, c, d)) <= 1e-9 * scale
 
     @given(curvature, curvature, curvature)
+    @example(0.0, 2.2250738585072014e-308, -1.6075083963551364e-307)
+    @example(53.0, -6.0, 6.76595744680851)
     def test_roots_sum_to_twice_triple_sum(self, a, b, c):
-        assume(has_real_fourth_curvature(a, b, c))
-        hi, lo = solve_fourth_curvature(a, b, c)
-        s = a + b + c
-        assert hi + lo == pytest.approx(2.0 * s, rel=1e-12, abs=1e-10 * max(1.0, abs(s)))
+        assume(a * b + b * c + c * a >= 0.0)
+        roots = real_fourth_curvatures(a, b, c)
+        if roots:
+            hi, lo = roots
+            s = a + b + c
+            assert hi + lo == pytest.approx(2.0 * s, rel=1e-12, abs=1e-10 * max(1.0, abs(s)))
 
 
 class TestTangencyResidual:

@@ -568,6 +568,12 @@ def test_gramian_of_nothing():
         gramian([])
 
 
+def test_gramian_of_a_generator(int_quadruple):
+    vectors = int_quadruple.vectors
+    assert np.array_equal(gramian(v for v in vectors), gramian(vectors))
+    assert verify_generalized(v for v in vectors) == verify_generalized(vectors)
+
+
 def test_gramian_of_one_dimensional_balls():
     segment = CircleVector((0.0,), 1.0, -1.0)  # n+2 = 3 vectors of n = 1, refused as the solvers refuse them
     with pytest.raises(BadDimension, match="^dimension must be >= 2, got 1$"):
