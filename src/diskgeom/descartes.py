@@ -87,7 +87,9 @@ def solve_fourth_curvature(a: float, b: float, c: float) -> tuple[float, float]:
     pairs = a * b + b * c + c * a
     if not pairs >= -_PAIRS_TOL:  # scaled, so relative to the largest curvature squared
         why = "is negative" if pairs < 0.0 else "is not a number"
-        raise ComplexRoots(f"ab+bc+ca = {pairs * unit * unit!r} {why}, no real fourth curvature")
+        full = pairs * unit * unit
+        shown = f"{pairs!r} * 2**{2 * math.log2(unit):g}" if math.isinf(full) or abs(full) < 2.0**-1022 else full
+        raise ComplexRoots(f"ab+bc+ca = {shown} {why}, no real fourth curvature")
     if not math.isfinite(pairs):  # an infinite curvature: scaled finite ones give |ab+bc+ca| <= 12
         check_finite((a, b, c), "curvature")
     root = 2.0 * math.sqrt(max(pairs, 0.0))
@@ -98,14 +100,9 @@ def solve_fourth_curvature(a: float, b: float, c: float) -> tuple[float, float]:
 
 
 def tangency_residual(vectors: Sequence[CircleVector]) -> float:
-    """Max deviation of pairwise products from 1 over distinct pairs."""
-    return worst_tangency(vectors)[0]
-
-
-def worst_tangency(vectors: Sequence[CircleVector]) -> tuple[float, tuple[int, int]]:
-    """Largest |<u,v> - 1| over distinct pairs, and the first pair that attains it; nan is the largest."""
+    """Max deviation of pairwise products from 1 over distinct pairs; nan is the largest."""
     _dimension(vectors, 1, 2)
-    return _worst_pair(vectors)
+    return _worst_pair(vectors)[0]
 
 
 def _worst_pair(vectors: Sequence[CircleVector]) -> tuple[float, tuple[int, int]]:
@@ -128,7 +125,7 @@ def _check_tangent(vectors: Sequence[CircleVector], tol: float) -> None:
 
 
 def _solution_line(rows: list[list[float]], rhs: list[float]) -> tuple[list[float], list[float]]:
-    """Particular point and null direction of the m x (m+1) system rows @ x = rhs.
+    """Particular point (free unknown 0) and null direction (free unknown 1) of the m x (m+1) system rows @ x = rhs.
 
     Gaussian elimination with full pivoting over rows and columns; a pivot
     ratio below _RANK_TOL marks the constraints as rank deficient.  Runs on
@@ -164,22 +161,18 @@ def _solution_line(rows: list[list[float]], rhs: list[float]) -> tuple[list[floa
         raise DegenerateTriple(
             f"pivot ratio {min(pivots) / max(pivots):.3e} below rank tolerance {_RANK_TOL!r}"
         )
-    free_col = free_cols[0]
-
-    def back(use_rhs: bool, free_val: float) -> list[float]:
-        x = [0.0] * (m + 1)
-        x[free_col] = free_val
-        for k in reversed(range(m)):
-            c = pivot_cols[k]
-            row = a[k]
-            s = row[m + 1] if use_rhs else 0.0
-            for j in range(m + 1):
-                if j != c:
-                    s -= row[j] * x[j]
-            x[c] = s / row[c]
-        return x
-
-    return back(True, 0.0), back(False, 1.0)
+    point, direction = [0.0] * (m + 1), [0.0] * (m + 1)
+    direction[free_cols[0]] = 1.0
+    for k in reversed(range(m)):
+        c = pivot_cols[k]
+        row = a[k]
+        p, d = row[m + 1], 0.0
+        for j in range(m + 1):
+            if j != c:
+                p -= row[j] * point[j]
+                d -= row[j] * direction[j]
+        point[c], direction[c] = p / row[c], d / row[c]
+    return point, direction
 
 
 def _roots_on_line(point: list[float], direction: list[float]) -> tuple[CircleVector, CircleVector]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -138,14 +139,14 @@ def lift(d: Disk) -> CircleVector:
     r = _radius(d)
     if not math.isfinite(1.0 / r):  # a subnormal radius; inner_geometric takes it, as it needs no curvature
         raise ZeroRadius(f"radius {r!r} is too small: its curvature 1/r is past the double range")
-    s = 0.0
-    for c in d.center:  # left to right, so a disk gives x*x + y*y
-        s += c * c
-    if not math.isfinite(s):  # an overflow, or a nan or inf coordinate
+    gamma = (functools.reduce(operator.add, [c * c for c in d.center], 0.0) - r * r) / r  # left to right, as x*x + y*y
+    if not math.isfinite(gamma):  # an overflow, also inf - inf, or a nan or inf coordinate
         check_finite(d.center, "center")
-    gamma = (s - r * r) / r
-    if math.isinf(gamma) and math.inf in (abs(c / r) for c in d.center):  # |c/r| > max makes gamma overflow too
-        raise ZeroRadius(f"radius {r!r} is too small for center {d.center!r}: c/r is past the double range")
+        if math.inf in (abs(c / r) for c in d.center):  # |c/r| > max makes gamma overflow too
+            raise ZeroRadius(f"radius {r!r} is too small for center {d.center!r}: c/r is past the double range")
+        unit = power_unit((r, *d.center))  # degree 1: the co-curvature of the ball scaled by 1/unit, times unit
+        squares, scaled = [(c / unit) * (c / unit) for c in d.center], r / unit
+        gamma = (functools.reduce(operator.add, squares, 0.0) - scaled * scaled) / scaled * unit
     return CircleVector(tuple(c / r for c in d.center), 1.0 / r, gamma)
 
 
@@ -244,7 +245,9 @@ def inner_geometric(d1: Disk, d2: Disk) -> float:
     where the curvature-0 limit is well defined.
     """
     if isinstance(d1, Halfplane) or isinstance(d2, Halfplane):
-        return inner(lift(d1), lift(d2))
+        lifts = lift(d1), lift(d2)  # a curvature 0 takes only the sign of the other's co-curvature, inf included
+        return inner(*(CircleVector(w.coords, w.beta, math.copysign(1.0, w.gamma)) if z.beta == 0.0 else w
+                       for w, z in zip(lifts, lifts[::-1])))
     r1, r2 = _radius(d1), _radius(d2)
     xs = [b - a for a, b in zip(d1.center, d2.center, strict=True)]  # balls of different dimensions raise ValueError
     if not all(map(math.isfinite, xs)):  # a nan or inf coordinate, or a difference past the double range

@@ -165,6 +165,17 @@ class TestVerify:
         assert err.startswith("error: ") and message in err
 
 
+    # the quadruple scaled by 1e300: the squares of its lift overflow, its co-curvatures do not
+    def test_huge_quadruple_verifies_and_seeds(self, tmp_path, capsys):
+        doc = {"disks": [{**d, "center": [1e300 * x for x in d["center"]], "radius": 1e300 * d["radius"]}
+                         for d in QUAD_DOC["disks"]]}
+        assert main(["verify", write_doc(tmp_path, doc)]) == 0
+        assert "PASS" in capsys.readouterr().out
+        csv_path = tmp_path / "out.csv"
+        assert main(["gasket", "--input", write_doc(tmp_path, doc), "--depth", "1", "--csv", str(csv_path)]) == 0
+        assert "disks: 8" in capsys.readouterr().out
+
+
 class TestSolve4:
     def test_equilateral(self, tmp_path, capsys):
         code = main(["solve4", write_doc(tmp_path, TRIPLE_DOC)])
@@ -546,6 +557,13 @@ class TestLiftProject:
         # x^2 overflows, so gamma is inf; formatting it must not raise
         assert main(["lift", "circle", "1e200", "0", "1"]) == 0
         assert capsys.readouterr().out == "1e+200 0 1 inf\n"
+
+    # |c|^2 and r^2 overflow, but the co-curvature does not: it is taken on the circle over a power of 2
+    def test_lift_of_overflowing_squares_is_finite(self, capsys):
+        assert main(["lift", "circle", "3e160", "4e160", "1e160"]) == 0
+        assert capsys.readouterr().out == "3 4 1e-160 2.4e+161\n"
+        assert main(["lift", "--json", "circle", "0", "0", "1e200"]) == 0
+        assert json.loads(capsys.readouterr().out)["vector"] == [0.0, 0.0, 1e-200, -1e200]
 
     @pytest.mark.parametrize(
         "argv, field",

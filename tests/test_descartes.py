@@ -37,7 +37,7 @@ from diskgeom import (
     verify_generalized,
     vieta_reflect,
 )
-from diskgeom.descartes import worst_tangency
+from diskgeom.descartes import _check_tangent, _roots_on_line, _solution_line
 from diskgeom.minkowski import configuration_identity, halfplane_geometry
 
 curvature = st.floats(-10.0, 100.0)
@@ -106,6 +106,54 @@ def reference_solution_line(rows, rhs):
     return back(True, 0.0), back(False, 1.0)
 
 
+def reference_solution_line_nd(rows, rhs):
+    """reference_solution_line for the m x (m+1) system of n+1 balls in n-space, m = n+1."""
+    m = len(rows)
+    a = np.hstack([np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float).reshape(m, 1)])
+    pivot_cols = []
+    free_cols = list(range(m + 1))
+    for k in range(m):
+        best_val = -1.0
+        best = (k, free_cols[0])
+        for i in range(k, m):
+            for j in free_cols:
+                v = abs(a[i, j])
+                if v > best_val:
+                    best_val = v
+                    best = (i, j)
+        i, j = best
+        if best_val <= 0.0:
+            raise DegenerateTriple("tangency constraints are rank deficient")
+        if i != k:
+            a[[k, i]] = a[[i, k]]
+        for i2 in range(k + 1, m):
+            factor = a[i2, j] / a[k, j]
+            a[i2] = a[i2] - factor * a[k]
+            a[i2, j] = 0.0
+        pivot_cols.append(j)
+        free_cols.remove(j)
+    pivots = [abs(a[k, c]) for k, c in enumerate(pivot_cols)]
+    if min(pivots) < 1e-10 * max(pivots):
+        raise DegenerateTriple(
+            f"pivot ratio {min(pivots) / max(pivots):.3e} below rank tolerance 1e-10"
+        )
+    free_col = free_cols[0]
+
+    def back(use_rhs, free_val):
+        x = np.zeros(m + 1)
+        x[free_col] = free_val
+        for k in reversed(range(m)):
+            c = pivot_cols[k]
+            s = a[k, m + 1] if use_rhs else 0.0
+            for j in range(m + 1):
+                if j != c:
+                    s -= a[k, j] * x[j]
+            x[c] = s / a[k, c]
+        return x
+
+    return back(True, 0.0), back(False, 1.0)
+
+
 def reference_roots_on_line(point, direction):
     p, d = CircleVector(*point.tolist()), CircleVector(*direction.tolist())
     alpha = inner(d, d)
@@ -139,9 +187,7 @@ def reference_solve_fourth_disk(c1, c2, c3, tol=1e-6):
     triple = (c1, c2, c3)
     rows = np.stack([minkowski_metric(2) @ v.as_array() for v in triple])
     line = reference_solution_line(rows, np.ones(3))
-    worst, (i, j) = worst_tangency(triple)
-    if worst > tol:
-        raise NotTangent(f"disks {i} and {j} are not tangent, residual {worst!r} exceeds {tol!r}")
+    _check_tangent(triple, tol)
     return reference_roots_on_line(*line)
 
 
@@ -276,6 +322,21 @@ class TestSolveFourthCurvature:
             return
         assert [x.hex() for x in solve_fourth_curvature(*(math.ldexp(x, j) for x in triple))] == want
 
+    # the gate reads the scaled ab+bc+ca; multiplied back it would underflow to -0.0 or overflow to -inf,
+    # so the message shows it scaled, with its power of 2
+    @pytest.mark.parametrize(
+        "triple, shown",
+        [
+            ((0.0, 2.2250738585072014e-308, -1.6075083963551364e-307), "-0.45153231380643116 * 2**-2040"),
+            ((1e200, 1e200, -1e200), "-1.7067336779066407 * 2**1328"),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_product_past_the_normal_range_is_shown_scaled(self, triple, shown):
+        message = f"^ab\\+bc\\+ca = {re.escape(shown)} is negative, no real fourth curvature$"
+        with pytest.raises(ComplexRoots, match=message):
+            solve_fourth_curvature(*triple)
+
     # ab+bc+ca = -2^-46 for (1, 2^-23, -2^-23), within the gate's 1e-12, so it gives the double root 1; the gate
     # acts on the scaled triple, so 2^13 times that triple gives 2^13 twice, where ab+bc+ca = -2^-20 used to raise
     def test_gate_is_relative_to_the_largest_curvature(self):
@@ -330,16 +391,21 @@ class TestTangencyResidual:
             lift(Circle((5.0, 0.0), 1.0)),
         ]
         # (0,0)/(5,0) has product 11.5; the tangent (0,0)/(2,0) pair has 1
-        assert worst_tangency(vectors) == (pytest.approx(10.5, abs=1e-12), (0, 2))
-        assert worst_tangency(equilateral_triple())[0] == tangency_residual(equilateral_triple())
+        with pytest.raises(NotTangent, match=r"^disks 0 and 2 are not tangent, residual 10\.5 exceeds 1e-06$"):
+            _check_tangent(vectors, 1e-6)
+        worst = tangency_residual(equilateral_triple())  # the gate and the residual read the same pair
+        _check_tangent(equilateral_triple(), worst)
+        with pytest.raises(NotTangent, match=f"residual {re.escape(repr(worst))} exceeds"):
+            _check_tangent(equilateral_triple(), math.nextafter(worst, 0.0))
 
     def test_first_nan_pair_is_the_worst(self):
         a, b, _ = equilateral_triple()
         nan_x, nan_y = CircleVector(math.nan, 0.0, 1.0, 0.0), CircleVector(0.0, math.nan, 1.0, 0.0)
-        residual, pair = worst_tangency([a, b, nan_x])
-        assert math.isnan(residual) and pair == (0, 2)
-        residual, pair = worst_tangency([a, nan_x, nan_y])
-        assert math.isnan(residual) and pair == (0, 1)
+        with pytest.raises(NotTangent, match="^disks 0 and 2 are not tangent, residual nan exceeds 1\\.0$"):
+            _check_tangent([a, b, nan_x], 1.0)
+        with pytest.raises(NotTangent, match="^disks 0 and 1 are not tangent, residual nan exceeds 1\\.0$"):
+            _check_tangent([a, nan_x, nan_y], 1.0)
+        assert math.isnan(tangency_residual([a, b, nan_x]))
 
 
 class TestSolversMatchReference:
@@ -649,3 +715,17 @@ def test_every_dimension_solves_and_reflects(n, outer):
 def distance(u: CircleVector, v: CircleVector) -> float:
     """Largest componentwise difference of two lifted vectors."""
     return max(abs(a - b) for a, b in zip(u, v, strict=True))
+
+
+# the n-dimensional solution line, pinned bit for bit, signed zeros included, to the numpy elimination
+@pytest.mark.parametrize("outer", [False, True], ids=["inner", "outer"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_every_dimension_matches_the_numpy_solution_line(n, outer):
+    vectors = tuple(lift(s) for s in canonical_simplex_config(n, outer))
+    for k in range(n + 2):
+        balls = (*vectors[:k], *vectors[k + 1 :])
+        rows = [minkowski_metric(n) @ v.as_array() for v in balls]
+        point, direction = reference_solution_line_nd(rows, np.ones(n + 1))
+        line = _solution_line([row.tolist() for row in rows], [1.0] * (n + 1))
+        assert [[x.hex() for x in xs] for xs in line] == [[x.hex() for x in xs.tolist()] for xs in (point, direction)]
+        assert repr(solve_fourth_disk(*balls)) == repr(_roots_on_line(point.tolist(), direction.tolist()))

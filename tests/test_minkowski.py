@@ -62,6 +62,25 @@ def halfplanes(draw):
     return Halfplane((math.cos(angle), math.sin(angle)), offset)
 
 
+# offsets and centers of every binade up to the double range, signed zeros included
+HUGE = st.sampled_from([0.0, -0.0]) | st.builds(
+    math.ldexp,
+    st.floats(0.5, 1.0, exclude_max=True) | st.floats(-1.0, -0.5, exclude_min=True),
+    st.integers(-1073, 1024),
+)
+
+
+@st.composite
+def huge_halfplanes(draw):
+    normal = draw(st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6)]))
+    return Halfplane(normal, draw(HUGE))
+
+
+@st.composite
+def huge_circles(draw):
+    return Circle((draw(HUGE), draw(HUGE)), draw(HUGE.filter(bool)))
+
+
 def normalization_error_budget(v: CircleVector) -> float:
     # floating-point error model: the lift components carry roundings
     # proportional to the squared reduced coordinates
@@ -132,6 +151,35 @@ class TestLift:
 
     def test_huge_center_lifts_to_inf(self):
         assert lift(Circle((1e200, 0.0), 1.0)).gamma == math.inf
+
+    # |c|^2 or r^2 overflows, or both do and cancel to inf - inf, though the co-curvature is finite:
+    # it is taken again on the center and radius over a power of 2
+    @pytest.mark.parametrize(
+        "circle, gamma",
+        [
+            (Circle((0.0, 0.0), 1e200), -1e200),
+            (Circle((3e160, 4e160), 1e160), 2.4e161),
+            (Circle((0.0, -1e308), 1e308), 0.0),
+            (Circle((0.0, 0.0, 0.0), -1e200), 1e200),
+        ],
+        ids=["radius", "both", "cancelling", "sphere"],
+    )
+    def test_overflowing_squares_give_a_finite_co_curvature(self, circle, gamma):
+        assert lift(circle).gamma == gamma
+
+    # a dilation by 2^j scales the co-curvature by 2^j bit for bit, also where |c|^2 or r^2 overflows,
+    # and gives inf with its sign only where 2^j times it is past the double range
+    @given(st.lists(SCALABLE, min_size=3, max_size=3), st.integers(-450, 1000))
+    def test_dilation_scales_the_co_curvature(self, xs, j):
+        x, y, r = xs
+        assume(r != 0.0)
+        gamma = lift(Circle((x, y), r)).gamma
+        try:
+            want = math.ldexp(gamma, j)
+        except OverflowError:
+            want = math.copysign(math.inf, gamma)
+        assume(want == 0.0 or abs(want) >= sys.float_info.min)  # not rounded to a subnormal
+        assert lift(Circle((math.ldexp(x, j), math.ldexp(y, j)), math.ldexp(r, j))).gamma.hex() == want.hex()
 
     # the curvature 1/r is finite, but the reduced center c/r is not
     @pytest.mark.parametrize("center", [(1e10, 0.0), (0.0, -1e10), (1e10, 0.0, 0.0)])
@@ -297,6 +345,20 @@ class TestInnerGeometric:
         c = Circle((0, 1), 1)
         assert inner_geometric(hp, c) == inner(lift(hp), lift(c))
 
+    # wherever the product of the lifts is not nan, the halfplane branch keeps its bits, signed zeros included
+    @given(
+        st.one_of(halfplanes(), circles(), huge_halfplanes(), huge_circles()),
+        st.one_of(halfplanes(), huge_halfplanes()),
+    )
+    def test_halfplane_keeps_the_bits_of_the_lifted_product(self, d, hp):
+        for d1, d2 in ((d, hp), (hp, d)):
+            try:
+                want = inner(lift(d1), lift(d2))
+            except ZeroRadius:
+                continue
+            if not math.isnan(want):
+                assert inner_geometric(d1, d2).hex() == want.hex()
+
     @given(circles(), circles())
     def test_agrees_with_lifted_product(self, c1, c2):
         u, v = lift(c1), lift(c2)
@@ -402,8 +464,18 @@ class TestIntersectionAngle:
         assert intersection_angle(Circle((1e200, 0.0), 1e200), Circle((0.0, 0.0), 1e200)) == math.acos(-0.5)
 
     def test_nan_product_is_none(self):
-        # 0 * inf in the Minkowski product: the far circle's co-curvature overflows in its lift
+        # the far circle's co-curvature overflows in its lift; it meets the halfplane's curvature 0 only,
+        # so the product is 1e200, the distance of the center from the line over the radius, and the disks miss
         assert intersection_angle(Halfplane((1.0, 0.0), 0.0), Circle((1e200, 0.0), 1.0)) is None
+
+    # the halfplane's line passes through the far circle's center, whose lifted co-curvature overflows:
+    # the curvature 0 takes only its sign, so the product is 0, not the nan of 0 * inf
+    def test_line_through_a_far_center_is_orthogonal(self):
+        line, far = Halfplane((1.0, 0.0), 1e200), Circle((1e200, 0.0), 1.0)
+        assert inner_geometric(line, far) == inner_geometric(far, line) == 0.0
+        assert intersection_angle(line, far) == intersection_angle(far, line) == math.pi / 2
+        # two halfplanes whose offsets overflow in the lift: only their normals meet
+        assert intersection_angle(Halfplane((1.0, 0.0), 1e308), Halfplane((0.0, 1.0), -1e308)) == math.pi / 2
 
 
 class TestGramian:
