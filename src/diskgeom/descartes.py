@@ -161,18 +161,15 @@ def _solution_line(rows: list[list[float]], rhs: list[float]) -> tuple[list[floa
         raise DegenerateTriple(
             f"pivot ratio {min(pivots) / max(pivots):.3e} below rank tolerance {_RANK_TOL!r}"
         )
-    point, direction = [0.0] * (m + 1), [0.0] * (m + 1)
-    direction[free_cols[0]] = 1.0
-    for k in reversed(range(m)):
-        c = pivot_cols[k]
-        row = a[k]
-        p, d = row[m + 1], 0.0
-        for j in range(m + 1):
-            if j != c:
-                p -= row[j] * point[j]
-                d -= row[j] * direction[j]
-        point[c], direction[c] = p / row[c], d / row[c]
-    return point, direction
+    line = [[0.0] * (m + 1), [0.0] * (m + 1)]  # the point, then the direction: free unknown 0, then 1
+    line[1][free_cols[0]] = 1.0
+    for c, row in zip(reversed(pivot_cols), reversed(a)):
+        for x, s in zip(line, (row[m + 1], 0.0)):  # the direction solves the system with a zero rhs
+            for j in range(m + 1):
+                if j != c:
+                    s -= row[j] * x[j]
+            x[c] = s / row[c]
+    return line[0], line[1]
 
 
 def _roots_on_line(point: list[float], direction: list[float]) -> tuple[CircleVector, CircleVector]:

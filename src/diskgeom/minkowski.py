@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -139,15 +138,21 @@ def lift(d: Disk) -> CircleVector:
     r = _radius(d)
     if not math.isfinite(1.0 / r):  # a subnormal radius; inner_geometric takes it, as it needs no curvature
         raise ZeroRadius(f"radius {r!r} is too small: its curvature 1/r is past the double range")
-    gamma = (functools.reduce(operator.add, [c * c for c in d.center], 0.0) - r * r) / r  # left to right, as x*x + y*y
+    gamma = (_squares(d.center) - r * r) / r
     if not math.isfinite(gamma):  # an overflow, also inf - inf, or a nan or inf coordinate
         check_finite(d.center, "center")
         if math.inf in (abs(c / r) for c in d.center):  # |c/r| > max makes gamma overflow too
             raise ZeroRadius(f"radius {r!r} is too small for center {d.center!r}: c/r is past the double range")
         unit = power_unit((r, *d.center))  # degree 1: the co-curvature of the ball scaled by 1/unit, times unit
-        squares, scaled = [(c / unit) * (c / unit) for c in d.center], r / unit
-        gamma = (functools.reduce(operator.add, squares, 0.0) - scaled * scaled) / scaled * unit
+        gamma = (_squares([c / unit for c in d.center]) - (r / unit) * (r / unit)) / (r / unit) * unit
     return CircleVector(tuple(c / r for c in d.center), 1.0 / r, gamma)
+
+
+def _squares(xs: Iterable[float]) -> float:
+    s = 0.0
+    for x in xs:  # left to right, so a disk gives x*x + y*y
+        s += x * x
+    return s
 
 
 def _radius(d: Circle) -> float:
@@ -255,9 +260,7 @@ def inner_geometric(d1: Disk, d2: Disk) -> float:
         raise NonFiniteOutput(f"centers {d1.center!r} and {d2.center!r} are further apart than the double range")
     # degree 0 in the lengths: a unit near sqrt|r1*r2| keeps 2*r1*r2 normal, >= 2^-500 of the largest squares finite
     unit = power_unit((math.sqrt(abs(r1)) * math.sqrt(abs(r2)), 2.0**-500 * max(map(abs, (r1, r2, *xs)))))
-    r1, r2, s = r1 / unit, r2 / unit, 0.0
-    for x in xs:
-        s += (x / unit) * (x / unit)
+    r1, r2, s = r1 / unit, r2 / unit, _squares([x / unit for x in xs])
     n, p = s - r1 * r1 - r2 * r2, 2.0 * r1 * r2  # p == 0: the product is past the range, or below it if n == 0
     return n / p if p else (math.copysign(math.inf, n * p) if n else -p)
 

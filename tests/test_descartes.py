@@ -60,54 +60,8 @@ def real_fourth_curvatures(a, b, c):
 
 def reference_solution_line(rows, rhs):
     """The numpy full-pivot elimination the solvers used before they ran on
-    Python floats: the reference the solvers must match bit for bit."""
-    a = np.hstack([np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float).reshape(3, 1)])
-    pivot_cols = []
-    free_cols = [0, 1, 2, 3]
-    for k in range(3):
-        best_val = -1.0
-        best = (k, free_cols[0])
-        for i in range(k, 3):
-            for j in free_cols:
-                v = abs(a[i, j])
-                if v > best_val:
-                    best_val = v
-                    best = (i, j)
-        i, j = best
-        if best_val <= 0.0:
-            raise DegenerateTriple("tangency constraints are rank deficient")
-        if i != k:
-            a[[k, i]] = a[[i, k]]
-        for i2 in range(k + 1, 3):
-            factor = a[i2, j] / a[k, j]
-            a[i2] = a[i2] - factor * a[k]
-            a[i2, j] = 0.0
-        pivot_cols.append(j)
-        free_cols.remove(j)
-    pivots = [abs(a[k, c]) for k, c in enumerate(pivot_cols)]
-    if min(pivots) < 1e-10 * max(pivots):
-        raise DegenerateTriple(
-            f"pivot ratio {min(pivots) / max(pivots):.3e} below rank tolerance 1e-10"
-        )
-    free_col = free_cols[0]
-
-    def back(use_rhs, free_val):
-        x = np.zeros(4)
-        x[free_col] = free_val
-        for k in (2, 1, 0):
-            c = pivot_cols[k]
-            s = a[k, 4] if use_rhs else 0.0
-            for j in range(4):
-                if j != c:
-                    s -= a[k, j] * x[j]
-            x[c] = s / a[k, c]
-        return x
-
-    return back(True, 0.0), back(False, 1.0)
-
-
-def reference_solution_line_nd(rows, rhs):
-    """reference_solution_line for the m x (m+1) system of n+1 balls in n-space, m = n+1."""
+    Python floats, for the m x (m+1) system of m = n+1 balls in n-space:
+    the reference the solvers must match bit for bit."""
     m = len(rows)
     a = np.hstack([np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float).reshape(m, 1)])
     pivot_cols = []
@@ -725,7 +679,7 @@ def test_every_dimension_matches_the_numpy_solution_line(n, outer):
     for k in range(n + 2):
         balls = (*vectors[:k], *vectors[k + 1 :])
         rows = [minkowski_metric(n) @ v.as_array() for v in balls]
-        point, direction = reference_solution_line_nd(rows, np.ones(n + 1))
+        point, direction = reference_solution_line(rows, np.ones(n + 1))
         line = _solution_line([row.tolist() for row in rows], [1.0] * (n + 1))
         assert [[x.hex() for x in xs] for xs in line] == [[x.hex() for x in xs.tolist()] for xs in (point, direction)]
         assert repr(solve_fourth_disk(*balls)) == repr(_roots_on_line(point.tolist(), direction.tolist()))

@@ -464,9 +464,18 @@ class TestIntersectionAngle:
         assert intersection_angle(Circle((1e200, 0.0), 1e200), Circle((0.0, 0.0), 1e200)) == math.acos(-0.5)
 
     def test_nan_product_is_none(self):
-        # the far circle's co-curvature overflows in its lift; it meets the halfplane's curvature 0 only,
-        # so the product is 1e200, the distance of the center from the line over the radius, and the disks miss
-        assert intersection_angle(Halfplane((1.0, 0.0), 0.0), Circle((1e200, 0.0), 1.0)) is None
+        # the halfplane's lifted co-curvature -2e308 overflows, and so does its reduced coordinate sum with the
+        # far circle's: inf - inf in the Minkowski product, whose true value is about 1.38e308
+        hp, far = Halfplane((0.6, 0.8), 1e308), Circle((1.7e308, 1.7e308), 1.0)
+        assert math.isnan(inner_geometric(hp, far)) and math.isnan(inner_geometric(far, hp))
+        assert intersection_angle(hp, far) is None and intersection_angle(far, hp) is None
+
+    # the far circle's co-curvature overflows in its lift, not to a nan: it meets the halfplane's curvature 0 only,
+    # so the product is 1e200, the distance of the center from the line over the radius, and the disks miss
+    def test_far_circle_beside_a_line_misses(self):
+        line, far = Halfplane((1.0, 0.0), 0.0), Circle((1e200, 0.0), 1.0)
+        assert inner_geometric(line, far) == inner_geometric(far, line) == 1e200
+        assert intersection_angle(line, far) is None and intersection_angle(far, line) is None
 
     # the halfplane's line passes through the far circle's center, whose lifted co-curvature overflows:
     # the curvature 0 takes only its sign, so the product is 0, not the nan of 0 * inf
